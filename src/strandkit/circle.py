@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterCollision
-from .geom import CircleWitness, Curve, StringRep
+from .geom import CircleWitness, Curve, StringRep, check_partial
 from .graphs import (
     Graph,
     PlaneGraph,
-    RotationScheme,
     biconnect_outerplanar,
     ear_decomposition,
     is_outerplanar,
+    restrict_breaks,
 )
 
 F = Fraction
@@ -140,11 +140,6 @@ def chord_to_geometry(diagram: ChordDiagram) -> StringRep:
 
 def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> CircleBuild:
     """Theorem-3 style construction for any connected outer-planar graph."""
-    if g.n == 1:
-        plane = PlaneGraph(g, RotationScheme([[]]))
-        diag = ChordDiagram({0: (F(2), F(-1, 2))})
-        return CircleBuild(diag, {0: 0}, plane, plane, diag, {0: 0}, ())
-
     g2, _inj = biconnect_outerplanar(g)
     ok, rot2, ofi = is_outerplanar(g2)
     assert ok
@@ -164,9 +159,14 @@ def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> 
     )
 
     traces: list[dict] = []
-    if trace:
-        traces.append(_snapshot(params, regions))
 
+    def step_done() -> None:
+        if per_ear_check:
+            _check_partial(g2, rot2, params, regions)
+        if trace:
+            traces.append(_snapshot(params, regions))
+
+    step_done()
     for ear in dec.ears:
         u, v = ear[0], ear[-1]
         xs = ear[1:-1]
@@ -213,30 +213,12 @@ def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> 
             lo, hi = (lo, hi) if lo < hi else (hi, lo)
             cross = _chord_meet(params[owners[0]], params[owners[1]])
             regions[edge] = _make_region(edge, lo, hi, pu, pv, cross)
+        step_done()
 
-        if per_ear_check:
-            _check_partial(g2, rot2, params, regions)
-        if trace:
-            traces.append(_snapshot(params, regions))
-
-    cw_nb = {e[0]: e[1] for e in regions}
-    super_breaks = {v: rot2.position(v, cw_nb[v]) for v in range(g2.n)}
+    # drop the augmentation chords and restrict the rotation and breaks to g
     super_diag = ChordDiagram(dict(params))
     super_plane = PlaneGraph(g2, rot2)
-
-    # restrict to the original graph: drop augmentation curves, induce the
-    # rotation, and re-derive each break from the induced linear order
-    rot_g = []
-    breaks = {}
-    for v in range(g.n):
-        full = rot2.order[v]
-        induced = tuple(w for w in full if w < g.n)
-        rot_g.append(induced)
-        bpos = super_breaks[v]
-        linear = full[bpos:] + full[:bpos]
-        first = next(w for w in linear if w < g.n)
-        breaks[v] = induced.index(first)
-    plane = PlaneGraph(g, RotationScheme(rot_g))
+    super_breaks, plane, breaks = restrict_breaks(g, super_plane, regions)
     diagram = ChordDiagram({v: params[v] for v in range(g.n)})
     ts = diagram.all_params()
     if len(set(ts)) != len(ts):
@@ -265,24 +247,7 @@ def _snapshot(params, regions) -> dict:
 
 def _check_partial(g2, rot2, params, regions) -> None:
     """Machine-check the induction invariant on the partial diagram."""
-    from .geom import crossing_profile, verify_1string, verify_order_preserving
-    from .geom import verify_outer_string, BOTH_ENDS
-
-    placed = sorted(params)
-    idx = {v: i for i, v in enumerate(placed)}
-    edges = [
-        (idx[u], idx[v]) for (u, v) in g2.edges if u in params and v in params
-    ]
-    sub = Graph(len(placed), edges)
-    sub_rot = RotationScheme(
-        [[idx[w] for w in rot2.order[v] if w in params] for v in placed]
-    )
-    diag = ChordDiagram({idx[v]: params[v] for v in placed})
-    rep = chord_to_geometry(diag)
-    prof = crossing_profile(rep)
-    assert verify_1string(rep, sub, prof).ok, "partial diagram is not 1-string"
-    assert verify_order_preserving(rep, PlaneGraph(sub, sub_rot), profile=prof).ok
-    assert verify_outer_string(rep, BOTH_ENDS).ok
+    check_partial(chord_to_geometry(ChordDiagram(params)), g2, rot2)
     # arc regions: pairwise disjoint, free of foreign endpoints
     rs = sorted(regions.values(), key=lambda r: r.lo)
     for r1, r2 in zip(rs, rs[1:]):

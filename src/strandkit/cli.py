@@ -2,12 +2,13 @@
 oracle runs, SVG rendering, and per-result reproduction commands.
 
 Exit codes: 0 on success / expected verdicts, 1 on verification failure or
-unexpected verdicts, 2 on usage errors. Every run emits a manifest (to
---manifest, next to --out, or to stderr)."""
+unexpected verdicts, 2 on usage errors and malformed input. Every run emits a
+manifest (to --manifest, next to --out, or to stderr)."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ import time
 
 from . import __version__, jsonio
 from .circle import build_circle, chord_to_geometry
-from .errors import StrandkitError
+from .errors import InputError, StrandkitError
 from .families import (
     extended_wheel,
     random_maximal_outerplanar,
@@ -34,7 +35,7 @@ from .geom import (
     verify_order_preserving,
     verify_outer_string,
 )
-from .graphs import Graph, PlaneGraph, RotationScheme, is_outerplanar, is_planar
+from .graphs import Graph, PlaneGraph, RotationScheme, euler_check, is_outerplanar, is_planar
 from .oracle import enumerate_breaks
 from .sp import build_sp
 from .svg import emit_svg
@@ -43,6 +44,15 @@ from .vpg import build_vpg
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _parsing(path: str):
+    """Report a parse failure of an input file as an InputError."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
 
 
 class _Run:
@@ -57,18 +67,24 @@ class _Run:
         }
         self.t0 = time.perf_counter()
 
-    def read_graph(self, path: str):
+    def _read(self, path: str) -> str:
         text = open(path).read()
         self.manifest["inputs"][path] = _sha(text)
-        if path.endswith(".txt"):
-            return jsonio.graph_from_edge_text(text), None
-        data = json.loads(text)
-        return jsonio.graph_from_json(data)
+        return text
+
+    def read_graph(self, path: str):
+        text = self._read(path)
+        with _parsing(path):
+            if path.endswith(".txt"):
+                return jsonio.graph_from_edge_text(text), None
+            return jsonio.graph_from_json(json.loads(text))
 
     def read_rep(self, path: str):
-        text = open(path).read()
-        self.manifest["inputs"][path] = _sha(text)
-        return jsonio.rep_from_json(json.loads(text))
+        """The rep in a rep JSON file, and the parsed JSON."""
+        text = self._read(path)
+        with _parsing(path):
+            data = json.loads(text)
+            return jsonio.rep_from_json(data), data
 
     def write(self, path: str | None, text: str) -> None:
         if path:
@@ -112,11 +128,15 @@ def _plane_for(run: _Run, g: Graph, rot: RotationScheme | None) -> PlaneGraph:
     return PlaneGraph(g, prot)
 
 
-def _verify_all(rep, g, plane, outer_mode):
+def _verify_all(rep, g, plane, outer_mode, strict=False):
+    """Check rep against g, against the rotation of `plane` unless it is None,
+    and against the contour in `outer_mode` if one is given."""
     prof = crossing_profile(rep)
-    r1 = verify_1string(rep, g, prof)
-    r2 = verify_order_preserving(rep, plane, profile=prof)
-    reports = {"one_string": r1, "order_preserving": r2}
+    reports = {"one_string": verify_1string(rep, g, prof)}
+    if plane is not None:
+        reports["order_preserving"] = verify_order_preserving(
+            rep, plane, strict=strict, profile=prof
+        )
     if outer_mode:
         reports["outer_string"] = verify_outer_string(rep, outer_mode)
     ok = all(r.ok for r in reports.values())
@@ -128,30 +148,23 @@ def _verify_all(rep, g, plane, outer_mode):
 # ---------------------------------------------------------------------------
 
 
+_FAMILIES = {
+    "wheel": lambda a: wheel(a.n),
+    "extended-wheel": lambda a: extended_wheel(a.n),
+    "planar-3tree": lambda a: random_planar_3tree(a.n, a.seed),
+    "triple-stellation-3tree": lambda a: triple_stellation(random_planar_3tree(a.n, a.seed)),
+    "maximal-outerplanar": lambda a: random_maximal_outerplanar(a.n, a.seed),
+    "partial-2tree": lambda a: random_partial_2tree(a.n, a.density, a.seed),
+    "subdivided-k23": lambda a: subdivided_k23(),
+}
+
+
 def _cmd_gen(run: _Run, args) -> int:
-    fam = args.family
-    if fam == "wheel":
-        pg = wheel(args.n)
-        out = jsonio.graph_to_json(pg.graph, pg.rot)
-    elif fam == "extended-wheel":
-        pg = extended_wheel(args.n)
-        out = jsonio.graph_to_json(pg.graph, pg.rot)
-    elif fam == "planar-3tree":
-        pg = random_planar_3tree(args.n, args.seed)
-        out = jsonio.graph_to_json(pg.graph, pg.rot)
-    elif fam == "triple-stellation-3tree":
-        pg = triple_stellation(random_planar_3tree(args.n, args.seed))
-        out = jsonio.graph_to_json(pg.graph, pg.rot)
-    elif fam == "maximal-outerplanar":
-        pg = random_maximal_outerplanar(args.n, args.seed)
-        out = jsonio.graph_to_json(pg.graph, pg.rot)
-    elif fam == "partial-2tree":
-        g = random_partial_2tree(args.n, args.density, args.seed)
-        out = jsonio.graph_to_json(g)
-    elif fam == "subdivided-k23":
-        out = jsonio.graph_to_json(subdivided_k23())
+    made = _FAMILIES[args.family](args)
+    if isinstance(made, PlaneGraph):
+        out = jsonio.graph_to_json(made.graph, made.rot)
     else:
-        raise StrandkitError(f"unknown family {fam}")
+        out = jsonio.graph_to_json(made)
     run.manifest["extra"]["seed"] = args.seed
     run.write(args.out, jsonio.dumps(out))
     return 0
@@ -162,8 +175,6 @@ def _cmd_embed(run: _Run, args) -> int:
     if args.check:
         if rot is None:
             raise StrandkitError("--check needs a rotation in the input")
-        from .graphs import euler_check
-
         ok = euler_check(g, rot)
         run.write(args.out, jsonio.dumps({"plane": ok}))
         return 0 if ok else 1
@@ -172,36 +183,38 @@ def _cmd_embed(run: _Run, args) -> int:
     return 0
 
 
-def _cmd_build(run: _Run, args) -> int:
-    g, _rot = run.read_graph(args.graph)
+def _build(run: _Run, kind: str, g: Graph, trace: bool = False, frame: str = "ortho"):
+    """Build a rep of g with the constructor of `kind` and verify it; the
+    build time goes into the manifest. Returns the build, the rep, whether
+    every check passed, and the per-check reports."""
     t0 = time.perf_counter()
-    if args.kind == "circle":
-        b = build_circle(g, trace=args.trace)
+    if kind == "circle":
+        b = build_circle(g, trace=trace)
         rep = chord_to_geometry(b.diagram)
-        plane, breaks, outer = b.plane, b.breaks, BOTH_ENDS
-        trace = b.trace
-    elif args.kind == "vpg":
-        b = build_vpg(g, trace=args.trace)
-        rep = b.diag_rep if args.frame == "diag" else b.rep
-        plane, breaks, outer = b.plane, b.breaks, BOTH_ENDS
+    elif kind == "vpg":
+        b = build_vpg(g, trace=trace)
+        rep = b.diag_rep if frame == "diag" else b.rep
         run.manifest["extra"]["grid"] = list(b.grid)
-        trace = b.trace
     else:
         b = build_sp(g)
         rep = b.rep
-        plane, breaks, outer = b.plane, None, None
-        trace = ()
     run.manifest["timings_ms"]["build"] = int((time.perf_counter() - t0) * 1000)
-    ok, reports = _verify_all(rep, g, plane, outer)
+    ok, reports = _verify_all(rep, g, b.plane, None if kind == "sp" else BOTH_ENDS)
+    return b, rep, ok, reports
+
+
+def _cmd_build(run: _Run, args) -> int:
+    g, _rot = run.read_graph(args.graph)
+    b, rep, ok, reports = _build(run, args.kind, g, args.trace, args.frame)
     if not ok:
         sys.stderr.write(jsonio.dumps({"verify": reports}))
         return 1
     payload = jsonio.rep_to_json(rep)
-    payload["rotation"] = {str(v): list(plane.rot.order[v]) for v in range(g.n)}
-    if breaks is not None:
-        payload["breaks"] = {str(v): breaks[v] for v in sorted(breaks)}
+    payload["rotation"] = {str(v): list(b.plane.rot.order[v]) for v in range(g.n)}
+    if args.kind != "sp":
+        payload["breaks"] = {str(v): b.breaks[v] for v in sorted(b.breaks)}
     if args.trace:
-        payload["trace"] = list(trace)
+        payload["trace"] = list(b.trace) if args.kind != "sp" else []
     run.manifest["extra"]["verified"] = sorted(reports)
     run.write(args.out, jsonio.dumps(payload))
     if args.svg:
@@ -217,33 +230,18 @@ def _cmd_build(run: _Run, args) -> int:
 
 
 def _cmd_verify(run: _Run, args) -> int:
-    rep = run.read_rep(args.rep)
+    rep, data = run.read_rep(args.rep)
     g, rot = run.read_graph(args.graph)
-    prof = crossing_profile(rep)
-    reports = {"one_string": verify_1string(rep, g, prof)}
+    plane = None
     if args.order:
-        text = open(args.rep).read()
-        data = json.loads(text)
-        if rot is None and data.get("rotation"):
-            order = [[] for _ in range(g.n)]
-            for k, nbrs in data["rotation"].items():
-                order[int(k)] = list(nbrs)
-            rot = RotationScheme(order)
+        if rot is None:
+            with _parsing(args.rep):
+                rot = jsonio.rotation_from_json(data, g.n)
         if rot is None:
             raise StrandkitError("--order needs a rotation (graph json or rep json)")
-        reports["order_preserving"] = verify_order_preserving(
-            rep, PlaneGraph(g, rot), strict=args.strict, profile=prof
-        )
-    if args.outer:
-        mode = BOTH_ENDS if args.outer == "both-ends" else ONE_END
-        reports["outer_string"] = verify_outer_string(rep, mode)
-    ok = all(r.ok for r in reports.values())
-    run.write(
-        args.out,
-        jsonio.dumps(
-            {k: {"ok": r.ok, "failures": list(r.failures)} for k, r in reports.items()}
-        ),
-    )
+        plane = PlaneGraph(g, rot)
+    ok, reports = _verify_all(rep, g, plane, args.outer, strict=args.strict)
+    run.write(args.out, jsonio.dumps(reports))
     return 0 if ok else 1
 
 
@@ -267,7 +265,7 @@ def _cmd_oracle(run: _Run, args) -> int:
 
 
 def _cmd_svg(run: _Run, args) -> int:
-    rep = run.read_rep(args.rep)
+    rep, _data = run.read_rep(args.rep)
     prof = crossing_profile(rep) if args.crossings else None
     run.write(args.out, emit_svg(rep, profile=prof))
     return 0
@@ -276,34 +274,25 @@ def _cmd_svg(run: _Run, args) -> int:
 def _cmd_repro(run: _Run, args) -> int:
     which = args.result
     ex = run.manifest["extra"]
-    if which == "thm3":
-        g = random_maximal_outerplanar(args.n, args.seed).graph
-        b = build_circle(g)
-        rep = chord_to_geometry(b.diagram)
-        ok, reports = _verify_all(rep, g, b.plane, BOTH_ENDS)
+    kind = {"thm3": "circle", "thm4": "vpg", "lem2": "sp"}.get(which)
+    if kind is not None:
+        if kind == "sp":
+            g = random_partial_2tree(args.n, args.density, args.seed)
+        else:
+            g = random_maximal_outerplanar(args.n, args.seed).graph
+        b, rep, ok, reports = _build(run, kind, g)
         ex["checks"] = {k: r["ok"] for k, r in reports.items()}
-        run.write(args.out, jsonio.dumps({"ok": ok, "n": g.n}))
-        return 0 if ok else 1
-    if which == "thm4":
-        g = random_maximal_outerplanar(args.n, args.seed).graph
-        b = build_vpg(g)
-        ok, reports = _verify_all(b.rep, g, b.plane, BOTH_ENDS)
-        bends_ok = all(c.bend_count() <= 1 for c in b.rep.curves.values())
-        ex["checks"] = {k: r["ok"] for k, r in reports.items()}
-        ex["grid"] = list(b.grid)
-        ex["grid_per_n"] = [b.grid[0] / g.n, b.grid[1] / g.n]
-        ex["grid_constant"] = 4  # implementation bound: dimension <= 4n
-        ok = ok and bends_ok
-        run.write(args.out, jsonio.dumps({"ok": ok, "n": g.n, "grid": list(b.grid)}))
-        return 0 if ok else 1
-    if which == "lem2":
-        g = random_partial_2tree(args.n, args.density, args.seed)
-        b = build_sp(g)
-        ok, reports = _verify_all(b.rep, g, b.plane, None)
-        shapes = all(c.bend_count() == 1 for c in b.rep.curves.values())
-        ex["checks"] = {k: r["ok"] for k, r in reports.items()}
-        ok = ok and shapes
-        run.write(args.out, jsonio.dumps({"ok": ok, "n": g.n}))
+        result = {"n": g.n}
+        bends = [c.bend_count() for c in rep.curves.values()]
+        if kind == "vpg":
+            ok = ok and all(k <= 1 for k in bends)
+            ex["grid_per_n"] = [b.grid[0] / g.n, b.grid[1] / g.n]
+            ex["grid_constant"] = 4  # implementation bound: dimension <= 4n
+            result["grid"] = list(b.grid)
+        elif kind == "sp":
+            ok = ok and all(k == 1 for k in bends)
+        result["ok"] = ok
+        run.write(args.out, jsonio.dumps(result))
         return 0 if ok else 1
     if which == "sec5-k23":
         g = subdivided_k23()
@@ -348,9 +337,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="emit a named graph family as JSON")
-    g.add_argument("family", choices=[
-        "wheel", "extended-wheel", "planar-3tree", "triple-stellation-3tree",
-        "maximal-outerplanar", "partial-2tree", "subdivided-k23"])
+    g.add_argument("family", choices=list(_FAMILIES))
     g.add_argument("--n", type=int, default=8)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--density", type=float, default=0.7)
@@ -384,7 +371,6 @@ def _parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="break-vector realizability search")
     o.add_argument("graph")
     o.add_argument("--mode", choices=["base", "both-ends", "one-end"], default="base")
-    o.add_argument("--exhaustive", action="store_true")
     o.add_argument("--samples", type=int)
     o.add_argument("--limit", type=int)
     o.add_argument("--jobs", type=int, default=int(os.environ.get("STRANDKIT_JOBS", "1")))

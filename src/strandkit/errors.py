@@ -5,6 +5,10 @@ class StrandkitError(Exception):
     pass
 
 
+class InputError(StrandkitError):
+    """An input file that does not parse as a graph or a representation."""
+
+
 # graph structure / embeddings
 class GraphNotConnected(StrandkitError):
     pass

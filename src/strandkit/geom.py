@@ -8,6 +8,7 @@ bounding-box prefilter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -21,9 +22,8 @@ from .errors import (
     TouchingPoint,
     TripleIntersection,
 )
-from .graphs import Graph, PlaneGraph
+from .graphs import Graph, PlaneGraph, RotationScheme
 
-Rat = Fraction
 Point = tuple[Fraction, Fraction]
 
 BOTH_ENDS = "both-ends"
@@ -46,14 +46,8 @@ def pt(x, y) -> Point:
 def _homog(p: Point) -> tuple[int, int, int]:
     xd = p[0].denominator
     yd = p[1].denominator
-    g = xd * yd // _gcd(xd, yd)
+    g = math.lcm(xd, yd)
     return (p[0].numerator * (g // xd), p[1].numerator * (g // yd), g)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _orient_h(a, b, c) -> int:
@@ -256,8 +250,6 @@ def _locate(c: Curve, p: Point) -> tuple[int, Fraction]:
             hits.append((i, t))
     if not hits:
         raise AssertionError("point not on curve")
-    if len(hits) == 2 and hits[0][1] == 1 and hits[1][1] == 0 and hits[1][0] == hits[0][0] + 1:
-        return hits[0]
     return hits[0]
 
 
@@ -477,15 +469,11 @@ class _PolyIndex:
         self.segs = w.segments()
         self.cells: dict[tuple[int, int], list[int]] = {}
         self.ybuckets: dict[int, list[int]] = {}
-        self.boxes: list[tuple[float, float, float, float]] = []
         for i, (a, b) in enumerate(self.segs):
             x0, x1 = sorted((float(a[0]), float(b[0])))
             y0, y1 = sorted((float(a[1]), float(b[1])))
             pad = self._PAD + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
             box = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
-            self.boxes.append(box)
-            import math
-
             for ix in range(math.floor(box[0]), math.floor(box[1]) + 1):
                 for iy in range(math.floor(box[2]), math.floor(box[3]) + 1):
                     self.cells.setdefault((ix, iy), []).append(i)
@@ -493,8 +481,6 @@ class _PolyIndex:
                 self.ybuckets.setdefault(iy, []).append(i)
 
     def near_box(self, x0: float, x1: float, y0: float, y1: float) -> list[int]:
-        import math
-
         out: set[int] = set()
         for ix in range(math.floor(x0 - self._PAD), math.floor(x1 + self._PAD) + 1):
             for iy in range(math.floor(y0 - self._PAD), math.floor(y1 + self._PAD) + 1):
@@ -502,8 +488,6 @@ class _PolyIndex:
         return sorted(out)
 
     def on_boundary(self, p: Point) -> bool:
-        import math
-
         fx, fy = float(p[0]), float(p[1])
         for i in self.cells.get((math.floor(fx), math.floor(fy)), ()):
             a, b = self.segs[i]
@@ -519,8 +503,6 @@ class _PolyIndex:
     def inside(self, p: Point) -> bool:
         """Strict interior by exact crossing number; call after ruling out
         boundary membership."""
-        import math
-
         cnt = 0
         px, py = p
         for i in self.ybuckets.get(math.floor(float(py)), ()):
@@ -531,10 +513,6 @@ class _PolyIndex:
                 if x_int > px:
                     cnt += 1
         return cnt % 2 == 1
-
-
-def _on_polyline(w: PolylineWitness, p: Point) -> bool:
-    return _PolyIndex(w).on_boundary(p)
 
 
 def _point_ok_circle(w: CircleWitness, p: Point) -> bool:
@@ -609,6 +587,22 @@ def _param_on(a: Point, b: Point, p: Point) -> Fraction:
 
 def _pp(p: Point) -> list:
     return [str(p[0]), str(p[1])]
+
+
+def check_partial(rep: StringRep, g: Graph, rot: RotationScheme) -> None:
+    """Assert the ear-induction invariant on a partial build: `rep` holds the
+    curves of the vertices of g placed so far, keyed by their ids in g, and
+    is an order-preserving outer-1-string representation (both ends on the
+    contour) of the plane subgraph they induce."""
+    placed = sorted(rep.curves)
+    idx = {v: i for i, v in enumerate(placed)}
+    sub = Graph(len(placed), [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx])
+    sub_rot = RotationScheme([[idx[w] for w in rot.order[v] if w in idx] for v in placed])
+    sub_rep = StringRep({idx[v]: Curve(idx[v], rep.curves[v].points) for v in placed}, rep.witness)
+    prof = crossing_profile(sub_rep)
+    assert verify_1string(sub_rep, sub, prof).ok, "partial rep is not 1-string"
+    assert verify_order_preserving(sub_rep, PlaneGraph(sub, sub_rot), profile=prof).ok
+    assert verify_outer_string(sub_rep, BOTH_ENDS).ok
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,6 @@ class FaceSet:
     def face_vertices(self, i: int) -> tuple[int, ...]:
         return tuple(u for (u, _v) in self.faces[i])
 
-    def directed_edge_face(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for i, f in enumerate(self.faces):
-            for de in f:
-                out[de] = i
-        return out
-
 
 def faces(g: Graph, rot: RotationScheme, outer_face_index: int | None = None) -> FaceSet:
     """All faces of the rotation scheme by next-edge traversal."""
@@ -357,6 +350,31 @@ def ear_decomposition(
                     children.append((fj, key))
         stack.extend(reversed(children))
     return EarDecomposition(rkey, tuple(ears))
+
+
+def restrict_breaks(
+    g: Graph, super_plane: PlaneGraph, outer_edges
+) -> tuple[dict[int, int], PlaneGraph, dict[int, int]]:
+    """Back end of an ear induction on the augmentation of g.
+
+    `outer_edges` are the directed outer edges (u, v) of the finished super
+    build; every super vertex u tails exactly one, and its curve breaks at v.
+    Returns the super breaks, g with the rotation induced from the super
+    rotation, and each break moved to the first original neighbor at or after
+    the super break (0 for a vertex without original neighbors)."""
+    rot2 = super_plane.rot
+    cw_nb = {u: v for u, v in outer_edges}
+    super_breaks = {v: rot2.position(v, cw_nb[v]) for v in range(super_plane.graph.n)}
+    order = []
+    breaks = {}
+    for v in range(g.n):
+        full = rot2.order[v]
+        induced = tuple(w for w in full if w < g.n)
+        order.append(induced)
+        bpos = super_breaks[v]
+        first = next((w for w in full[bpos:] + full[:bpos] if w < g.n), None)
+        breaks[v] = 0 if first is None else induced.index(first)
+    return super_breaks, PlaneGraph(g, RotationScheme(order)), breaks
 
 
 def replay_ears(n: int, dec: EarDecomposition) -> Graph:

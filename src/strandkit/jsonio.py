@@ -24,14 +24,20 @@ def graph_to_json(g: Graph, rot: RotationScheme | None = None) -> dict:
 
 def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
     g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
-    rot = None
-    if data.get("rotation"):
-        order = [[] for _ in range(g.n)]
-        for k, nbrs in data["rotation"].items():
-            order[int(k)] = list(nbrs)
-        rot = RotationScheme(order)
+    rot = rotation_from_json(data, g.n)
+    if rot is not None:
         rot.validate(g)
     return g, rot
+
+
+def rotation_from_json(data: dict, n: int) -> RotationScheme | None:
+    """The rotation stored in graph or rep JSON, or None if there is none."""
+    if not data.get("rotation"):
+        return None
+    order = [[] for _ in range(n)]
+    for k, nbrs in data["rotation"].items():
+        order[int(k)] = list(nbrs)
+    return RotationScheme(order)
 
 
 def graph_from_edge_text(text: str) -> Graph:

@@ -19,12 +19,9 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetZero, InvalidBreak
+from .geom import BOTH_ENDS, ONE_END
 from .graphs import PlaneGraph
 from .planarity import is_planar_edges
-
-BOTH_ENDS = "both-ends"
-ONE_END = "one-end"
-_MODES = (None, "base", BOTH_ENDS, ONE_END)
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,27 @@ curves and reroutes S with a slit detour (the only case that edits S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonDiagonalSegment
-from .geom import Curve, PolylineWitness, StringRep
+from .geom import (
+    CircleWitness,
+    Curve,
+    PolylineWitness,
+    StringRep,
+    _param_on,
+    check_partial,
+    segment_intersection,
+)
 from .graphs import (
     Graph,
     PlaneGraph,
-    RotationScheme,
     biconnect_outerplanar,
     ear_decomposition,
     is_outerplanar,
+    restrict_breaks,
 )
 
 F = Fraction
@@ -121,8 +130,8 @@ class _Builder:
         for i in range(n):
             p, q = self.S[i], self.S[(i + 1) % n]
             if _between(p, q, a) and _between(p, q, b):
-                ta = _param(p, q, a)
-                tb = _param(p, q, b)
+                ta = _param_on(p, q, a)
+                tb = _param_on(p, q, b)
                 pts = [a] + path + [b] if ta < tb else [b] + list(reversed(path)) + [a]
                 self.S = self.S[: i + 1] + pts + self.S[i + 1 :]
                 return
@@ -133,14 +142,8 @@ def _between(p: Pt, q: Pt, x: Pt) -> bool:
     dx, dy = q[0] - p[0], q[1] - p[1]
     if (x[0] - p[0]) * dy != (x[1] - p[1]) * dx:
         return False
-    t = _param(p, q, x)
+    t = _param_on(p, q, x)
     return 0 < t < 1
-
-
-def _param(p: Pt, q: Pt, x: Pt) -> Fraction:
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    den = dx * dx + dy * dy
-    return ((x[0] - p[0]) * dx + (x[1] - p[1]) * dy) / den
 
 
 def _peak(H: Fraction, T: Fraction, tail_left: bool) -> list[Pt]:
@@ -312,14 +315,6 @@ def _case_conv_valley(b, frame, w, u, x, v, h, t):
 
 
 def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> VpgBuild:
-    if g.n == 1:
-        curves = {0: [(F(0), F(0)), (F(1), F(1)), (F(2), F(0))]}
-        S = [(F(-1), F(0)), (F(3), F(0)), (F(3), F(2)), (F(-1), F(2))]
-        return _finish(
-            Graph(1, []), PlaneGraph(g, RotationScheme([[]])), {0: 0},
-            PlaneGraph(g, RotationScheme([[]])), {0: 0}, curves, S, (), ()
-        )
-
     g2, _inj = biconnect_outerplanar(g)
     ok, rot2, ofi = is_outerplanar(g2)
     assert ok
@@ -336,45 +331,28 @@ def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> Vpg
     b.regions[(c, a)] = TriRegion((c, a), f2, F(11, 2), F(9, 2), -1, F(1, 2), -1)
 
     traces: list[dict] = []
-    if trace:
-        traces.append(_snapshot(b))
-    for ear in dec.ears:
-        _insert_ear(b, ear[0], tuple(ear[1:-1]), ear[-1])
+
+    def step_done() -> None:
         if per_ear_check:
             _check_partial(g2, rot2, b)
         if trace:
             traces.append(_snapshot(b))
 
-    cw_nb = {e[0]: e[1] for e in b.regions}
-    super_breaks = {v: rot2.position(v, cw_nb[v]) for v in range(g2.n)}
+    step_done()
+    for ear in dec.ears:
+        _insert_ear(b, ear[0], tuple(ear[1:-1]), ear[-1])
+        step_done()
+
+    # drop the augmentation curves and restrict the rotation and breaks to g
     super_plane = PlaneGraph(g2, rot2)
-    rot_g = []
-    breaks = {}
-    for v in range(g.n):
-        full = rot2.order[v]
-        induced = tuple(wv for wv in full if wv < g.n)
-        rot_g.append(induced)
-        bpos = super_breaks[v]
-        linear = full[bpos:] + full[:bpos]
-        first = next(wv for wv in linear if wv < g.n)
-        breaks[v] = induced.index(first)
-    plane = PlaneGraph(g, RotationScheme(rot_g))
-    curves = {v: b.curves[v] for v in range(g.n)}
-    return _finish(
-        g, plane, breaks, super_plane, super_breaks, curves, b.S,
-        tuple(b.regions.values()), tuple(traces)
-    )
-
-
-def _finish(g, plane, breaks, super_plane, super_breaks, curves, S, regions, traces) -> VpgBuild:
+    super_breaks, plane, breaks = restrict_breaks(g, super_plane, b.regions)
     diag_rep = StringRep(
-        {v: Curve(v, tuple(pts)) for v, pts in curves.items()},
-        PolylineWitness(tuple(S)),
+        {v: Curve(v, tuple(b.curves[v])) for v in range(g.n)}, PolylineWitness(tuple(b.S))
     )
-    ortho = rotate45(diag_rep, scale_to_integers=False)
-    rep, grid = compact_grid(ortho)
+    rep, grid = compact_grid(rotate45(diag_rep, scale_to_integers=False))
     return VpgBuild(
-        rep, diag_rep, breaks, plane, super_plane, super_breaks, grid, regions, traces
+        rep, diag_rep, breaks, plane, super_plane, super_breaks, grid,
+        tuple(b.regions.values()), tuple(traces),
     )
 
 
@@ -401,8 +379,6 @@ def rotate45(rep: StringRep, scale_to_integers: bool = True) -> StringRep:
         wit = PolylineWitness(tuple(f(p) for p in wit.points))
     elif wit is not None:
         # the map scales by sqrt(2): a circle stays a circle
-        from .geom import CircleWitness
-
         wit = CircleWitness(f(wit.center), 2 * wit.radius2)
     if scale_to_integers:
         den = 1
@@ -410,8 +386,7 @@ def rotate45(rep: StringRep, scale_to_integers: bool = True) -> StringRep:
         if isinstance(wit, PolylineWitness):
             pools += list(wit.points)
         for p in pools:
-            den = den * p[0].denominator // _g(den, p[0].denominator)
-            den = den * p[1].denominator // _g(den, p[1].denominator)
+            den = math.lcm(den, p[0].denominator, p[1].denominator)
         curves = {
             v: Curve(v, tuple((p[0] * den, p[1] * den) for p in c.points))
             for v, c in curves.items()
@@ -419,12 +394,6 @@ def rotate45(rep: StringRep, scale_to_integers: bool = True) -> StringRep:
         if isinstance(wit, PolylineWitness):
             wit = PolylineWitness(tuple((p[0] * den, p[1] * den) for p in wit.points))
     return StringRep(curves, wit)
-
-
-def _g(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _piecewise(vals: list[Fraction]):
@@ -516,57 +485,30 @@ def _snapshot(b: _Builder) -> dict:
     }
 
 
-def _check_partial(g2: Graph, rot2: RotationScheme, b: _Builder) -> None:
-    from .geom import BOTH_ENDS, crossing_profile, verify_1string
-    from .geom import verify_order_preserving, verify_outer_string
-
-    placed = sorted(b.curves)
-    idx = {v: i for i, v in enumerate(placed)}
-    sub = Graph(
-        len(placed),
-        [(idx[u], idx[v]) for (u, v) in g2.edges if u in idx and v in idx],
-    )
-    sub_rot = RotationScheme([[idx[w] for w in rot2.order[v] if w in idx] for v in placed])
-    rep = StringRep(
-        {idx[v]: Curve(idx[v], tuple(b.curves[v])) for v in placed},
-        PolylineWitness(tuple(b.S)),
-    )
-    prof = crossing_profile(rep)
-    assert verify_1string(rep, sub, prof).ok, "partial vpg rep is not 1-string"
-    assert verify_order_preserving(rep, PlaneGraph(sub, sub_rot), profile=prof).ok
-    assert verify_outer_string(rep, BOTH_ENDS).ok
-    _check_regions(b, idx, rep)
-
-
-def _check_regions(b: _Builder, idx: dict[int, int], rep: StringRep) -> None:
-    """No curve other than the two owners meets a region triangle."""
-    from .geom import segment_intersection
-
-    back = {i: k for k, i in idx.items()}
+def _check_partial(g2: Graph, rot2, b: _Builder) -> None:
+    """Machine-check the induction invariant on the partial rep, and that no
+    curve other than the two owners meets a region triangle."""
+    curves = {v: Curve(v, tuple(pts)) for v, pts in sorted(b.curves.items())}
+    check_partial(StringRep(curves, PolylineWitness(tuple(b.S))), g2, rot2)
     for r in b.regions.values():
         h0, h1 = r.hyp_world()
-        ap = r.apex_world()
-        tri = (h0, h1, ap)
-        owners = set(r.edge)
-        for v, c in rep.curves.items():
-            orig = back[v]
-            if orig in owners:
+        tri = (h0, h1, r.apex_world())
+        for v, c in curves.items():
+            if v in r.edge:
                 continue
             for seg in c.segments:
-                if _segment_hits_triangle(seg, tri, segment_intersection):
-                    raise AssertionError(
-                        f"curve {orig} intrudes into region {r.edge}"
-                    )
+                if _segment_hits_triangle(seg, tri):
+                    raise AssertionError(f"curve {v} intrudes into region {r.edge}")
 
 
-def _segment_hits_triangle(seg, tri, seg_int) -> bool:
+def _segment_hits_triangle(seg, tri) -> bool:
     a, b = seg
     for p in (a, b):
         if _strictly_in_triangle(p, tri):
             return True
     for i in range(3):
         e = (tri[i], tri[(i + 1) % 3])
-        if seg_int(seg, e) is not None:
+        if segment_intersection(seg, e) is not None:
             return True
     return False
 

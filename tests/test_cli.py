@@ -50,6 +50,33 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["build", "circle", str(tmp_path / "missing.json")]) == 2
 
 
+MALFORMED = {
+    "loop": ("g.txt", "0 0\n"),
+    "non_integer": ("g.txt", "0 x\n"),
+    "parallel_edge": ("g.txt", "0 1\n1 0\n"),
+    "truncated_json": ("g.json", '{"n": 2, "edges": [[0, 1]'),
+    "no_edges_key": ("g.json", '{"n": 2}'),
+    "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_code(tmp_path, case, capsys):
+    name, text = MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_text(text)
+    mf = tmp_path / "m.json"
+    if name == "rep.json":
+        g = tmp_path / "g.txt"
+        g.write_text("0 1\n")
+        argv = ["verify", str(bad), str(g)]
+    else:
+        argv = ["build", "circle", str(bad), "--out", str(tmp_path / "rep.json")]
+    assert main(["--manifest", str(mf), *argv]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_sp_build_and_oracle(tmp_path):
     g = tmp_path / "k.json"
     rep = tmp_path / "sp.json"

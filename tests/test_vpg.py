@@ -41,6 +41,11 @@ def strip(n):
     return Graph(n, edges)
 
 
+def test_single_vertex():
+    b = verify_build(Graph(1, []), per_ear=True)
+    assert b.breaks == {0: 0} and b.plane.rot.order == ((),)
+
+
 def test_base_edge():
     b = verify_build(Graph(2, [(0, 1)]), per_ear=True)
     assert b.grid[0] <= 8 and b.grid[1] <= 8
