@@ -36,7 +36,7 @@ from .geom import (
     verify_outer_string,
 )
 from .graphs import Graph, PlaneGraph, RotationScheme, euler_check, is_outerplanar, is_planar
-from .oracle import enumerate_breaks
+from .oracle import COUNTERS, enumerate_breaks
 from .sp import build_sp
 from .svg import emit_svg
 from .vpg import build_vpg
@@ -232,6 +232,11 @@ def _cmd_build(run: _Run, args) -> int:
 def _cmd_verify(run: _Run, args) -> int:
     rep, data = run.read_rep(args.rep)
     g, rot = run.read_graph(args.graph)
+    if set(rep.curves) != set(range(g.n)):
+        raise InputError(
+            f"malformed input {args.rep}: its curves {sorted(rep.curves)} are not "
+            f"the vertices 0..{g.n - 1} of {args.graph}"
+        )
     plane = None
     if args.order:
         if rot is None:
@@ -260,8 +265,16 @@ def _cmd_oracle(run: _Run, args) -> int:
         chunk=args.chunk,
         limit=args.limit,
     )
+    _oracle_counters(run, v)
     run.write(args.out, jsonio.dumps(v.to_json()))
     return 0
+
+
+def _oracle_counters(run: _Run, *verdicts) -> None:
+    """Record the oracle's counters, summed over `verdicts`, in the manifest."""
+    run.manifest["extra"]["oracle"] = {
+        k: sum(v.counters[k] for v in verdicts) for k in COUNTERS
+    }
 
 
 def _cmd_svg(run: _Run, args) -> int:
@@ -299,6 +312,7 @@ def _cmd_repro(run: _Run, args) -> int:
         plane = build_sp(g).plane
         v_base = enumerate_breaks(plane, None, jobs=args.jobs)
         v_outer = enumerate_breaks(plane, BOTH_ENDS, jobs=args.jobs)
+        _oracle_counters(run, v_base, v_outer)
         ok = v_base.status == "yes" and v_outer.status == "no" and v_outer.tried == 4608
         ex["base"] = v_base.to_json()
         ex["both_ends"] = v_outer.to_json()
@@ -309,6 +323,7 @@ def _cmd_repro(run: _Run, args) -> int:
         v = enumerate_breaks(
             pg, BOTH_ENDS, jobs=args.jobs, chunk=args.chunk, limit=args.limit
         )
+        _oracle_counters(run, v)
         expected = "no" if args.limit is None else "unknown"
         ok = v.status == expected
         ex["verdict"] = v.to_json()
@@ -317,6 +332,7 @@ def _cmd_repro(run: _Run, args) -> int:
     if which == "thm2-sample":
         pg = triple_stellation(random_planar_3tree(6, args.seed))
         v = enumerate_breaks(pg, None, budget=args.samples, jobs=args.jobs, seed=args.seed)
+        _oracle_counters(run, v)
         ok = v.status == "unknown"
         ex["verdict"] = v.to_json()
         ex["note"] = "evidence, not proof: sampled search only"

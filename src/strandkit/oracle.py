@@ -10,15 +10,26 @@ nodes.
 Enumeration walks the mixed-radix space of all break vectors (times the
 end choices in one-end mode), optionally in parallel over fixed-size chunks;
 verdicts are independent of the worker count.
+
+The plain diagram is a minor of the gadgetized one, so a non-planar plain H
+rules a vector out at a fraction of the cost. This shortcut pays where it
+often does (subdivided K_{2,3}, W_7^+) and is pure overhead where it never
+does (the Thm-2 instance). So a search backs off: after a miss (plain H
+planar) it skips the plain test for the next 2, 4, 6, ... vectors over
+consecutive misses, about sqrt(N) tests over N misses, and a hit resets the
+gap to 0. The gap does not double, because in canonical order hits come in
+runs that a doubling gap jumps over. The gadget test alone decides a vector,
+so no verdict depends on the back-off. `Verdict.counters` holds the planarity
+calls, shortcut attempts and shortcut hits, summed over the workers.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import BudgetZero, InvalidBreak
+from .errors import BudgetZero, InvalidBreak, StrandkitError
 from .geom import BOTH_ENDS, ONE_END
 from .graphs import PlaneGraph
 from .planarity import is_planar_edges
@@ -40,6 +51,9 @@ class Verdict:
     tried: int
     total: int
     elapsed_ms: int
+    # the search's counts by COUNTERS name; they depend on the chunking and
+    # the worker count, so they are neither compared nor part of to_json()
+    counters: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -176,13 +190,40 @@ def decide_fixed(
         raise ValueError("one-end mode needs an end choice per vertex")
     breaks = list(breaks)
     ends = list(end_choice) if end_choice is not None else None
-    if gadgets:
-        # exact shortcut: the plain diagram is a minor of the gadgetized one
-        plain = _Task(pg, False)
-        if not is_planar_edges(plain.nodes_for(mode), plain.edges_for(breaks, mode, ends)):
-            return False
-    t = _Task(pg, gadgets)
-    return is_planar_edges(t.nodes_for(mode), t.edges_for(breaks, mode, ends))
+    plain = _Task(pg, False) if gadgets else None
+    return _realizable(_Task(pg, gadgets), plain, _Shortcut(), breaks, mode, ends)
+
+
+COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits")
+
+
+@dataclass
+class _Shortcut:
+    """The plain-diagram shortcut's back-off within one search, and the
+    counts of the current range in the order of COUNTERS."""
+
+    gap: int = 0
+    skip: int = 0
+    counts: list = field(default_factory=lambda: [0, 0, 0])
+
+
+def _realizable(task: _Task, plain: _Task | None, sc: _Shortcut, breaks, mode, ends) -> bool:
+    """Planarity of `task`'s diagram for one vector. The plain diagram `plain`
+    is tested first unless the back-off in `sc` skips it."""
+    counts = sc.counts
+    if plain is not None:
+        if sc.skip:
+            sc.skip -= 1
+        else:
+            counts[0] += 1
+            counts[1] += 1
+            if not is_planar_edges(plain.nodes_for(mode), plain.edges_for(breaks, mode, ends)):
+                counts[2] += 1
+                sc.gap = 0
+                return False
+            sc.gap = sc.skip = sc.gap + 2
+    counts[0] += 1
+    return is_planar_edges(task.nodes_for(mode), task.edges_for(breaks, mode, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +247,37 @@ def _decode(task: _Task, digit_vertices, idx: int, mode: str | None):
 
 
 def _scan_range(args):
+    """The first realizable index in [lo, hi), or None, and the counts of
+    this range; the back-off carries over from the worker's previous range.
+    A set `stop` flag ends the scan: the search already has its result."""
     lo, hi = args
     task: _Task = _WORKER["task"]
     plain: _Task | None = _WORKER["plain"]
+    sc: _Shortcut = _WORKER["shortcut"]
     dv = _WORKER["digit_vertices"]
     mode = _WORKER["mode"]
     samples = _WORKER["samples"]
+    stop = _WORKER["stop"]
+    sc.counts = [0, 0, 0]
     for i in range(lo, hi):
+        if stop is not None and stop.value:
+            break
         idx = samples[i] if samples is not None else i
         breaks, ends = _decode(task, dv, idx, mode)
-        if plain is not None:
-            if not is_planar_edges(
-                plain.nodes_for(mode), plain.edges_for(breaks, mode, ends)
-            ):
-                continue
-        if is_planar_edges(task.nodes_for(mode), task.edges_for(breaks, mode, ends)):
-            return (i, tuple(breaks), tuple(ends) if ends else None)
-    return None
+        if _realizable(task, plain, sc, breaks, mode, ends):
+            return (i, tuple(breaks), tuple(ends) if ends else None), sc.counts
+    return None, sc.counts
+
+
+def _first_hit(results):
+    """The first hit among the range results, taken in range order, and the
+    counts summed up to it."""
+    counts = [0, 0, 0]
+    for hit, range_counts in results:
+        counts = [a + b for a, b in zip(counts, range_counts)]
+        if hit is not None:
+            return hit, counts
+    return None, counts
 
 
 def _init_worker(payload):
@@ -245,6 +300,10 @@ def enumerate_breaks(
     the first `limit` of them); budget=N draws N seeded uniform samples.
     The verdict (including the witness) does not depend on `jobs`.
     """
+    if chunk < 1:
+        raise StrandkitError(f"chunk must be at least 1, got {chunk}")
+    if limit is not None and limit < 1:
+        raise StrandkitError(f"limit must be at least 1, got {limit}")
     mode = _norm_mode(outer_mode)
     g = pg.graph
     task = _Task(pg, gadgets)
@@ -271,35 +330,35 @@ def enumerate_breaks(
     payload = {
         "task": task,
         "plain": plain,
+        "shortcut": _Shortcut(),
         "digit_vertices": digit_vertices,
         "mode": mode,
         "samples": samples,
+        "stop": None,
     }
     ranges = [(lo, min(lo + chunk, span)) for lo in range(0, span, chunk)]
 
-    hit = None
     if jobs <= 1 or len(ranges) <= 1:
         _init_worker(payload)
-        for r in ranges:
-            hit = _scan_range(r)
-            if hit is not None:
-                break
+        hit, counts = _first_hit(map(_scan_range, ranges))
     else:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
+        payload["stop"] = ctx.RawValue("b", 0)
         with ctx.Pool(jobs, initializer=_init_worker, initargs=(payload,)) as pool:
-            for res in pool.imap(_scan_range, ranges):
-                if res is not None:
-                    hit = res
-                    pool.terminate()
-                    break
-
+            hit, counts = _first_hit(pool.imap(_scan_range, ranges))
+            # Let the ranges after the hit return at once and the workers
+            # exit. Terminating busy workers can kill one while it holds the
+            # result queue's lock, and Pool.terminate then hangs.
+            payload["stop"].value = 1
+            pool.close()
+            pool.join()
     elapsed = int((time.perf_counter() - t0) * 1000)
+    counters = dict(zip(COUNTERS, counts))
     if hit is not None:
         i, breaks, ends = hit
-        tried = i + 1
-        return Verdict("yes", breaks, ends, tried, total, elapsed)
+        return Verdict("yes", breaks, ends, i + 1, total, elapsed, counters)
     if budget is None and limit is None:
-        return Verdict("no", None, None, total, total, elapsed)
-    return Verdict("unknown", None, None, span, total, elapsed)
+        return Verdict("no", None, None, total, total, elapsed, counters)
+    return Verdict("unknown", None, None, span, total, elapsed, counters)

@@ -1,10 +1,12 @@
 """Left-right planarity test with optional combinatorial embedding.
 
-Iterative implementation of the LR algorithm (Brandes' formulation). The
-boolean entry point `is_planar_edges` skips all embedding bookkeeping and is
-the hot path for the realizability oracle; `planar_rotation` additionally
-resolves edge sides and produces a rotation system, which callers validate
-via the Euler check in `graphs.faces`.
+Iterative implementation of the LR algorithm (Brandes' formulation). One
+kernel, `_LRTest`, serves both entry points. The boolean `is_planar_edges`
+runs its orientation (phase 1) and testing (phase 2) only, and is the hot
+path of the realizability oracle; `planar_rotation` then also resolves the
+edge sides into a rotation system (phase 3), which callers validate via the
+Euler check in `graphs.faces`. Phases 1 and 2 run once per oracle vector,
+so their DFS loops keep the per-edge steps inline and the state in locals.
 """
 
 from __future__ import annotations
@@ -40,14 +42,21 @@ def planar_rotation(n: int, edges: list[tuple[int, int]]) -> list[list[int]] | N
 
 
 class _LRTest:
+    """One LR test of a fixed edge list. `test` orients the graph by DFS
+    (phase 1) and checks it with conflict pairs (phase 2); after a True
+    result `embed` resolves the edge sides into a rotation system (phase 3)."""
+
     def __init__(self, n: int, edges: list[tuple[int, int]]) -> None:
         self.n = n
         self.edges = edges
         m = len(edges)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
-            self.adj[u].append((v, eid))
-            self.adj[v].append((u, eid))
+            adj[u].append(eid)
+            adj[v].append(eid)
+        self.adj = adj
+        # xor of the two ends: the far end of eid seen from x is ends[eid] ^ x
+        self.ends = [u ^ v for u, v in edges]
 
         self.src = [-1] * m
         self.dst = [-1] * m
@@ -71,58 +80,70 @@ class _LRTest:
     # phase 1: DFS orientation
     # ------------------------------------------------------------------
 
-    def _finish_edge(self, eid: int, v: int) -> None:
-        # nesting depth of eid, then merge its lowpoints into v's parent edge
-        nd = 2 * self.lowpt[eid]
-        if self.lowpt2[eid] < self.height[v]:
-            nd += 1
-        self.nesting_depth[eid] = nd
-        pe = self.parent_edge[v]
-        if pe != -1:
-            if self.lowpt[eid] < self.lowpt[pe]:
-                self.lowpt2[pe] = min(self.lowpt[pe], self.lowpt2[eid])
-                self.lowpt[pe] = self.lowpt[eid]
-            elif self.lowpt[eid] > self.lowpt[pe]:
-                if self.lowpt[eid] < self.lowpt2[pe]:
-                    self.lowpt2[pe] = self.lowpt[eid]
-            else:
-                if self.lowpt2[eid] < self.lowpt2[pe]:
-                    self.lowpt2[pe] = self.lowpt2[eid]
-
     def _orient(self) -> None:
-        height = self.height
-        src = self.src
+        adj, ends = self.adj, self.ends
+        src, dst = self.src, self.dst
+        lowpt, lowpt2, nd = self.lowpt, self.lowpt2, self.nesting_depth
+        height, parent_edge = self.height, self.parent_edge
         for s in range(self.n):
             if height[s] != -1:
                 continue
             self.roots.append(s)
             height[s] = 0
-            stack = [[s, 0]]
+            stack = [(s, iter(adj[s]))]
             while stack:
-                fr = stack[-1]
-                v, i = fr
-                av = self.adj[v]
-                if i < len(av):
-                    fr[1] = i + 1
-                    w, eid = av[i]
+                v, it = stack[-1]
+                hv = height[v]
+                for eid in it:
                     if src[eid] != -1:
                         continue
+                    w = ends[eid] ^ v
                     src[eid] = v
-                    self.dst[eid] = w
-                    self.lowpt[eid] = height[v]
-                    self.lowpt2[eid] = height[v]
-                    if height[w] == -1:
-                        self.parent_edge[w] = eid
-                        height[w] = height[v] + 1
-                        stack.append([w, 0])
-                    else:
-                        self.lowpt[eid] = height[w]
-                        self._finish_edge(eid, v)
+                    dst[eid] = w
+                    hw = height[w]
+                    if hw == -1:
+                        parent_edge[w] = eid
+                        lowpt[eid] = lowpt2[eid] = hv
+                        height[w] = hv + 1
+                        stack.append((w, iter(adj[w])))
+                        break
+                    # A back edge to an ancestor w, finished at once: its
+                    # lowpoints are (hw, hv) and its nesting depth is 2*hw.
+                    # v is not a root, and its parent edge pe has
+                    # lowpt[pe] <= lowpt2[pe] <= hv - 1, so only hw can lower them.
+                    lowpt[eid] = hw
+                    lowpt2[eid] = hv
+                    nd[eid] = 2 * hw
+                    pe = parent_edge[v]
+                    lp = lowpt[pe]
+                    if hw < lp:
+                        lowpt2[pe] = lp
+                        lowpt[pe] = hw
+                    elif lp < hw < lowpt2[pe]:
+                        lowpt2[pe] = hw
                 else:
+                    # v is done: finish its parent edge e = (u, v) and merge
+                    # its lowpoints into u's parent edge
                     stack.pop()
-                    pe = self.parent_edge[v]
-                    if pe != -1:
-                        self._finish_edge(pe, src[pe])
+                    e = parent_edge[v]
+                    if e == -1:
+                        continue
+                    u = src[e]
+                    lo = lowpt[e]
+                    lo2 = lowpt2[e]
+                    nd[e] = 2 * lo + 1 if lo2 < height[u] else 2 * lo
+                    pe = parent_edge[u]
+                    if pe == -1:
+                        continue
+                    lp = lowpt[pe]
+                    if lo < lp:
+                        lowpt2[pe] = lp if lp < lo2 else lo2
+                        lowpt[pe] = lo
+                    elif lo > lp:
+                        if lo < lowpt2[pe]:
+                            lowpt2[pe] = lo
+                    elif lo2 < lowpt2[pe]:
+                        lowpt2[pe] = lo2
 
     # ------------------------------------------------------------------
     # phase 2: testing via conflict pairs
@@ -204,67 +225,60 @@ class _LRTest:
                 P[1][0] = None
             S.append(P)
 
-    def _integrate(self, v: int, ei: int, idx: int) -> bool:
-        if self.lowpt[ei] < self.height[v]:
-            e = self.parent_edge[v]
-            if idx == 0:
-                if e != -1:
-                    self.lowpt_edge[e] = self.lowpt_edge[ei]
-            else:
-                if not self._add_constraints(ei, e):
-                    return False
-        return True
-
     def _test_root(self, root: int) -> bool:
         out_edges = self.out_edges
         parent_edge = self.parent_edge
-        dst = self.dst
-        stack = [[root, 0]]
+        src, dst = self.src, self.dst
+        lowpt, height = self.lowpt, self.height
+        lowpt_edge, stack_bottom, ref = self.lowpt_edge, self.stack_bottom, self.ref
+        S = self.S
+        stack = [(root, iter(out_edges[root]))]
         while stack:
-            fr = stack[-1]
-            v, i = fr
-            out = out_edges[v]
-            if i < len(out):
-                fr[1] = i + 1
-                ei = out[i]
-                self.stack_bottom[ei] = self.S[-1] if self.S else None
+            v, it = stack[-1]
+            for ei in it:
+                stack_bottom[ei] = S[-1] if S else None
                 w = dst[ei]
                 if parent_edge[w] == ei:
-                    stack.append([w, 0])
-                else:
-                    self.lowpt_edge[ei] = ei
-                    self.S.append([[None, None], [ei, ei]])
-                    if not self._integrate(v, ei, i):
+                    stack.append((w, iter(out_edges[w])))
+                    break
+                lowpt_edge[ei] = ei
+                S.append([[None, None], [ei, ei]])
+                # integrate the back edge ei into v's parent edge
+                if lowpt[ei] < height[v]:
+                    if ei == out_edges[v][0]:
+                        lowpt_edge[parent_edge[v]] = ei
+                    elif not self._add_constraints(ei, parent_edge[v]):
                         return False
             else:
                 stack.pop()
                 e = parent_edge[v]
-                if e != -1:
-                    u = self.src[e]
-                    self._trim_back_edges(u)
-                    if self.lowpt[e] < self.height[u]:
-                        top = self.S[-1]
-                        hl = top[0][1]
-                        hr = top[1][1]
-                        if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                            self.ref[e] = hl
-                        else:
-                            self.ref[e] = hr
-                    if stack:
-                        pfr = stack[-1]
-                        if not self._integrate(pfr[0], e, pfr[1] - 1):
-                            return False
+                if e == -1:
+                    continue
+                u = src[e]
+                self._trim_back_edges(u)
+                if lowpt[e] < height[u]:
+                    top = S[-1]
+                    hl = top[0][1]
+                    hr = top[1][1]
+                    if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                        ref[e] = hl
+                    else:
+                        ref[e] = hr
+                    # integrate the tree edge e into u's parent edge; u is
+                    # not a root, as lowpt[e] < height[u]
+                    if e == out_edges[u][0]:
+                        lowpt_edge[parent_edge[u]] = lowpt_edge[e]
+                    elif not self._add_constraints(e, parent_edge[u]):
+                        return False
         return True
 
     def test(self) -> bool:
         self._orient()
-        nd = self.nesting_depth
-        for eid in range(len(self.edges)):
-            v = self.src[eid]
-            if v != -1:
-                self.out_edges[v].append(eid)
-        for v in range(self.n):
-            self.out_edges[v].sort(key=nd.__getitem__)
+        # out edges by nesting depth: one stable sort keeps each vertex's
+        # ties in edge id order
+        out_edges, src = self.out_edges, self.src
+        for eid in sorted(range(len(self.edges)), key=self.nesting_depth.__getitem__):
+            out_edges[src[eid]].append(eid)
         for root in self.roots:
             if not self._test_root(root):
                 return False

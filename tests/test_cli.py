@@ -57,6 +57,12 @@ MALFORMED = {
     "truncated_json": ("g.json", '{"n": 2, "edges": [[0, 1]'),
     "no_edges_key": ("g.json", '{"n": 2}'),
     "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
+    # a triangle's rep, checked against a 4-vertex path
+    "curves_not_vertices": ("rep.json", json.dumps({"curves": {
+        "0": [[-3, 5, 4, 5], [3, 5, -4, 5]],
+        "1": [[-4, 5, -3, 5], [4, 5, 3, 5]],
+        "2": [[527, 625, -336, 625], [-45, 53, -28, 53]],
+    }})),
 }
 
 
@@ -68,13 +74,42 @@ def test_malformed_input_exit_code(tmp_path, case, capsys):
     mf = tmp_path / "m.json"
     if name == "rep.json":
         g = tmp_path / "g.txt"
-        g.write_text("0 1\n")
+        g.write_text("0 1\n1 2\n2 3\n")
         argv = ["verify", str(bad), str(g)]
     else:
         argv = ["build", "circle", str(bad), "--out", str(tmp_path / "rep.json")]
     assert main(["--manifest", str(mf), *argv]) == 2
     assert json.loads(mf.read_text())["exit_code"] == 2
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--chunk", "0"], ["--limit", "-3"], ["--limit", "0"]])
+def test_oracle_bad_chunk_or_limit(tmp_path, flag, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    mf = tmp_path / "m.json"
+    assert main(["--manifest", str(mf), "oracle", str(g), *flag]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_oracle_counters_in_manifest(tmp_path):
+    g = tmp_path / "k.json"
+    mf = tmp_path / "m.json"
+    assert main(["gen", "subdivided-k23", "--out", str(g)]) == 0
+    assert main(["--manifest", str(mf), "oracle", str(g), "--mode", "both-ends",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    # plain H rules out every vector, so the shortcut runs on each of them
+    assert json.loads(mf.read_text())["extra"]["oracle"] == {
+        "planarity_calls": 4608, "shortcut_attempts": 4608, "shortcut_hits": 4608}
+    verdict = json.loads((tmp_path / "v.json").read_text())
+    assert set(verdict) == {"status", "witness", "witness_ends", "tried", "total",
+                            "elapsed_ms"}
+    assert main(["--manifest", str(mf), "repro", "thm2-sample", "--samples", "20",
+                 "--out", str(tmp_path / "t.json")]) == 0
+    # Thm-2: plain H never rules a vector out; probes at 0, 3, 8 and 15
+    assert json.loads(mf.read_text())["extra"]["oracle"] == {
+        "planarity_calls": 24, "shortcut_attempts": 4, "shortcut_hits": 0}
 
 
 def test_sp_build_and_oracle(tmp_path):

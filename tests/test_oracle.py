@@ -1,13 +1,20 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import strandkit
+from strandkit import oracle
 from strandkit.circle import build_circle
-from strandkit.errors import BudgetZero, InvalidBreak
-from strandkit.families import random_maximal_outerplanar, subdivided_k23
-from strandkit.graphs import Graph, PlaneGraph, RotationScheme
+from strandkit.errors import BudgetZero, InvalidBreak, StrandkitError
+from strandkit.families import extended_wheel, random_maximal_outerplanar, subdivided_k23
+from strandkit.graphs import Graph, PlaneGraph, RotationScheme, is_planar
 from strandkit.oracle import (
     BOTH_ENDS,
+    COUNTERS,
     ONE_END,
     build_H,
     decide_fixed,
@@ -186,3 +193,135 @@ def test_gadgets_are_load_bearing():
         if saw_difference:
             break
     assert saw_difference
+
+
+def test_chunk_and_limit_validated():
+    for kwargs in ({"chunk": 0}, {"chunk": -1}, {"limit": 0}, {"limit": -3}):
+        with pytest.raises(StrandkitError):
+            enumerate_breaks(k3_plane(), **kwargs)
+
+
+def test_counters_not_in_verdict_json():
+    v = enumerate_breaks(k3_plane(), BOTH_ENDS)
+    assert set(v.to_json()) == {"status", "witness", "witness_ends", "tried", "total",
+                                "elapsed_ms"}
+    assert set(v.counters) == set(COUNTERS)
+
+
+def test_shortcut_back_off(monkeypatch):
+    # a scripted plain test: vectors 8..11 are hits, every other vector a
+    # miss, and every gadget test non-planar, so the scan covers all 30
+    pg = extended_wheel(3)
+    g = pg.graph
+    gadget_nodes = 2 * g.n + 5 * g.edge_count
+    vector = [0]
+    attempts = []
+
+    def fake(n, edges):
+        if n >= gadget_nodes:
+            vector[0] += 1
+            return False
+        attempts.append(vector[0])
+        if 8 <= vector[0] <= 11:
+            vector[0] += 1
+            return False
+        return True
+
+    monkeypatch.setattr(oracle, "is_planar_edges", fake)
+    v = enumerate_breaks(pg, BOTH_ENDS, limit=30, chunk=7)
+    # gaps 2, 4 after the misses at 0 and 3; the hits reset the gap to 0
+    assert attempts == [0, 3, 8, 9, 10, 11, 12, 15, 20, 27]
+    assert (v.status, v.tried) == ("unknown", 30)
+    assert v.counters == {"planarity_calls": 10 + 26, "shortcut_attempts": 10,
+                          "shortcut_hits": 4}
+    # decide_fixed always tries the plain diagram first
+    attempts.clear()
+    vector[0] = 0
+    assert not decide_fixed(pg, [0] * g.n, BOTH_ENDS)
+    assert attempts == [0]
+
+
+def brute_force(pg, mode):
+    """The verdict fields of a linear decide_fixed scan in canonical order:
+    the highest-degree vertex is the most significant digit, and in one-end
+    mode the end bits (bit v for vertex v) are less significant still."""
+    g = pg.graph
+    deg = [max(1, g.degree(v)) for v in range(g.n)]
+    dv = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    end_vectors = ([None] if mode != ONE_END else
+                   [tuple((bits >> v) & 1 for v in range(g.n)) for bits in range(1 << g.n)])
+    tried = 0
+    for digits in itertools.product(*(range(deg[v]) for v in dv)):
+        breaks = [0] * g.n
+        for v, d in zip(dv, digits):
+            breaks[v] = d
+        for ends in end_vectors:
+            tried += 1
+            if decide_fixed(pg, breaks, mode, end_choice=ends):
+                return "yes", tuple(breaks), ends, tried
+    return "no", None, None, tried
+
+
+def atlas_plane_graphs(max_n):
+    from networkx.generators.atlas import graph_atlas_g
+
+    out = []
+    for G in graph_atlas_g():
+        if not 1 <= G.number_of_nodes() <= max_n:
+            continue
+        g = Graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
+        ok, rot = is_planar(g)
+        if ok:
+            out.append(PlaneGraph(g, rot))
+    return out
+
+
+def check_against_brute_force(pg, mode):
+    want = brute_force(pg, mode)
+    for jobs in (1, 2):
+        for chunk in (1, 7, 2048):
+            v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
+            assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
+            c = v.counters
+            # each vector is a plain hit or ends in one gadget call
+            assert c["planarity_calls"] == c["shortcut_attempts"] + v.tried - c["shortcut_hits"]
+    return v
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_enumerate_matches_brute_force_atlas(mode):
+    graphs = atlas_plane_graphs(5)
+    assert len(graphs) == 51  # every graph on 1..5 vertices but K5
+    for pg in graphs:
+        check_against_brute_force(pg, mode)
+
+
+def test_enumerate_matches_brute_force_mixed_hits():
+    # W_3^+ both-ends: runs of plain hits and misses, so the back-off both
+    # grows and resets; NO after all 3000 vectors
+    v = check_against_brute_force(extended_wheel(3), BOTH_ENDS)
+    assert v.status == "no"
+    c = enumerate_breaks(extended_wheel(3), BOTH_ENDS).counters
+    assert 0 < c["shortcut_hits"] < c["shortcut_attempts"] < v.tried
+
+
+STRESS = """
+import os
+from strandkit.families import wheel
+from strandkit.oracle import BOTH_ENDS, enumerate_breaks
+
+pg = wheel(4)
+want = enumerate_breaks(pg, BOTH_ENDS)
+assert want.status == "yes" and want.tried > 7
+for r in range(40):
+    v = enumerate_breaks(pg, BOTH_ENDS, jobs=(os.cpu_count() or 1) + 1, chunk=1 + r % 3)
+    assert (v.status, v.witness, v.tried) == (want.status, want.witness, want.tried), r
+"""
+
+
+def test_parallel_early_hit_stress():
+    # more workers than cores, each search ending on a hit while later ranges
+    # still run: every search must end, and stopping the ranges after the hit
+    # must not touch the ranges before it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strandkit.__file__)))
+    subprocess.run([sys.executable, "-c", STRESS], env=env, timeout=120, check=True)

@@ -4,8 +4,11 @@ import random
 import networkx as nx
 import pytest
 
+from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
 from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
+from strandkit.oracle import build_H
 from strandkit.planarity import is_planar_edges, planar_rotation
+from strandkit.sp import build_sp
 
 K5 = list(itertools.combinations(range(5), 2))
 K33 = [(i, 3 + j) for i in range(3) for j in range(3)]
@@ -74,3 +77,153 @@ def test_embedding_euler_valid(seed):
     ok, rot = is_planar(g)
     assert ok
     assert euler_check(g, rot)
+
+
+# ---------------------------------------------------------------------------
+# differential tests on large graphs and on oracle diagrams
+# ---------------------------------------------------------------------------
+
+
+def check_against_networkx(n, edges):
+    """Both entry points agree with networkx, and every rotation is a plane
+    embedding by the Euler check."""
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    want, _ = nx.check_planarity(G)
+    assert is_planar_edges(n, edges) == want
+    rot = planar_rotation(n, edges)
+    assert (rot is not None) == want
+    if rot is not None:
+        assert euler_check(Graph(n, edges), RotationScheme(rot))
+    return want
+
+
+def maximal_planar(n, rng):
+    """A random maximal planar graph on n >= 4 vertices: a stacked
+    triangulation with about 2n random edge flips, randomly relabelled, with
+    its edges shuffled and randomly oriented."""
+    # every directed edge lies on exactly one (oriented) triangle
+    face_of = {}
+
+    def add(f):
+        a, b, c = f
+        for e in ((a, b), (b, c), (c, a)):
+            face_of[e] = f
+
+    add((0, 1, 2))
+    add((0, 2, 1))
+    for v in range(3, n):
+        a, b, c = face_of[rng.choice(sorted(face_of))]
+        add((a, b, v))
+        add((b, c, v))
+        add((c, a, v))
+    for _ in range(2 * n):
+        a, b = rng.choice(sorted(face_of))
+        c = next(x for x in face_of[(a, b)] if x not in (a, b))
+        d = next(x for x in face_of[(b, a)] if x not in (a, b))
+        if (c, d) in face_of:
+            continue
+        del face_of[(a, b)], face_of[(b, a)]
+        add((a, d, c))
+        add((d, b, c))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
+             for a, b in face_of if a < b]
+    rng.shuffle(edges)
+    assert len(edges) == 3 * n - 6
+    return edges
+
+
+def sparsified(n, edges, keep, rng):
+    """A connected random subgraph: a spanning tree of `edges` plus each
+    other edge with probability `keep`."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            out.append((u, v))
+        elif rng.random() < keep:
+            out.append((u, v))
+    return out
+
+
+def with_subdivision(n, edges, kuratowski, rng):
+    """`edges` plus a subdivision of K5 or K3,3 whose branch vertices are
+    random vertices of the graph and whose paths run through new vertices."""
+    k = 5 if kuratowski is K5 else 6
+    branch = rng.sample(range(n), k)
+    out = list(edges)
+    for a, b in kuratowski:
+        prev = branch[a]
+        for _ in range(rng.randint(1, 3)):
+            out.append((prev, n))
+            prev = n
+            n += 1
+        out.append((prev, branch[b]))
+    return n, out
+
+
+def non_edge(n, edges, rng):
+    present = {frozenset(e) for e in edges}
+    while True:
+        u, v = rng.sample(range(n), 2)
+        if frozenset((u, v)) not in present:
+            return (u, v)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_large_graphs_against_networkx(seed):
+    rng = random.Random(1000 + seed)
+    n = 200 if seed < 3 else rng.randint(8, 200)
+    tri = maximal_planar(n, rng)
+    assert check_against_networkx(n, tri)
+    assert not check_against_networkx(n, tri + [non_edge(n, tri, rng)])
+    sparse = sparsified(n, tri, rng.choice((0.3, 0.6, 0.9)), rng)
+    assert check_against_networkx(n, sparse)
+    check_against_networkx(n, sparse + [non_edge(n, sparse, rng)])
+    for kuratowski in (K5, K33):
+        assert not check_against_networkx(*with_subdivision(n, sparse, kuratowski, rng))
+
+
+def diagram_edges(pg, breaks, gadgets, apex):
+    """Node count and edges of H, with an apex on every end node if `apex`."""
+    H = build_H(pg, breaks, gadgets)
+    edges = list(H.edges)
+    if not apex:
+        return H.node_count, edges
+    for tail, head in H.end_nodes:
+        edges += [(H.node_count, tail), (H.node_count, head)]
+    return H.node_count + 1, edges
+
+
+def test_k23_diagrams_against_networkx():
+    # every both-ends vector of the subdivided K_{2,3}: no H is planar
+    pg = build_sp(subdivided_k23()).plane
+    g = pg.graph
+    vectors = list(itertools.product(*(range(max(1, g.degree(v))) for v in range(g.n))))
+    assert len(vectors) == 4608
+    for breaks in vectors:
+        for gadgets in (False, True):
+            assert not check_against_networkx(*diagram_edges(pg, breaks, gadgets, True))
+
+
+def test_thm2_diagrams_against_networkx():
+    # sampled Thm-2 vectors: plain H is planar, gadget H is not
+    pg = triple_stellation(random_planar_3tree(6, 1))
+    g = pg.graph
+    rng = random.Random(2)
+    for _ in range(50):
+        breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
+        assert check_against_networkx(*diagram_edges(pg, breaks, False, False))
+        assert not check_against_networkx(*diagram_edges(pg, breaks, True, False))
