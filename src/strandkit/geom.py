@@ -4,6 +4,12 @@ All predicates run on exact rationals (fractions.Fraction); the pairwise
 segment tests use integer homogeneous coordinates so that no floating point
 can ever misclassify a crossing. Floats appear only as a conservative
 bounding-box prefilter.
+
+`crossing_profile` places each crossing on both curves (segment index and
+parameter) where its segment-pair scan finds it. The polyline-witness index
+of `verify_outer_string` lays a grid over the witness's own bounding box,
+with about as many cells as segments, so it scales with the witness and not
+with the coordinates.
 """
 
 from __future__ import annotations
@@ -233,90 +239,74 @@ def _curve_self_check(c: Curve) -> None:
             raise InvalidCurve(f"curve {c.vertex} self-intersects near {r}")
 
 
-def _locate(c: Curve, p: Point) -> tuple[int, Fraction]:
-    """Arc position of p on c as (segment index, parameter in [0,1]).
-
-    Bend hits are canonicalized to (i, 1). Assumes p lies on the curve.
-    """
-    hits: list[tuple[int, Fraction]] = []
-    for i, (a, b) in enumerate(c.segments):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        # collinear?
-        if (p[0] - a[0]) * dy != (p[1] - a[1]) * dx:
-            continue
-        den = dx * dx + dy * dy
-        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / den
-        if 0 <= t <= 1:
-            hits.append((i, t))
-    if not hits:
-        raise AssertionError("point not on curve")
-    return hits[0]
+def _fbox(a: Point, b: Point) -> tuple[float, float, float, float]:
+    """Float bounding box of segment ab, padded beyond float rounding error:
+    a reject-only prefilter."""
+    x0, x1 = sorted((float(a[0]), float(b[0])))
+    y0, y1 = sorted((float(a[1]), float(b[1])))
+    pad = 1e-9 + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
+    return x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
 
-def _branches(c: Curve, loc: tuple[int, Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """Outgoing direction vectors of c around the located point."""
+def _position(i: int, a: Point, b: Point, p: Point) -> tuple[int, Fraction]:
+    """Arc position of p, found on segment i = ab of a curve, as (segment
+    index, parameter in [0,1]); a bend is (i, 1) of the segment ending there."""
+    if p == b:
+        return i, Fraction(1)
+    if p == a:
+        return (i - 1, Fraction(1)) if i else (0, Fraction(0))
+    return i, _param_on(a, b, p)
+
+
+def _branches(c: Curve, loc: tuple[int, Fraction]):
+    """The two directions in which c leaves the interior point at loc."""
     i, t = loc
-    segs = c.segments
-    a, b = segs[i]
+    a, b = c.points[i], c.points[i + 1]
     d = (b[0] - a[0], b[1] - a[1])
-    if 0 < t < 1:
-        return [d, (-d[0], -d[1])]
-    if t == 1:
-        if i + 1 >= len(segs):
-            return [(-d[0], -d[1])]  # head endpoint
-        a2, b2 = segs[i + 1]
-        return [(-d[0], -d[1]), (b2[0] - a2[0], b2[1] - a2[1])]
-    # t == 0: only possible at the tail (bends canonicalize to t == 1)
-    return [d]
+    if t < 1:
+        return d, (-d[0], -d[1])
+    e = c.points[i + 2]
+    return (-d[0], -d[1]), (e[0] - b[0], e[1] - b[1])
 
 
-def _angle_key(d: tuple[Fraction, Fraction]):
-    dx, dy = d
-    upper = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-    return upper, dx, dy
+def _cross(d, e):
+    return d[0] * e[1] - d[1] * e[0]
 
 
-def _angle_less(d1, d2) -> bool:
-    u1 = _angle_key(d1)[0]
-    u2 = _angle_key(d2)[0]
-    if u1 != u2:
-        return u1 < u2
-    cr = d1[0] * d2[1] - d1[1] * d2[0]
-    return cr > 0
+def _in_sweep(a, b, d) -> bool:
+    """Whether direction d lies strictly inside the counterclockwise sweep
+    from direction a to a different direction b."""
+    after_a = _cross(a, d) > 0
+    before_b = _cross(d, b) > 0
+    if _cross(a, b) >= 0:  # a sweep of at most 180 degrees
+        return after_a and before_b
+    return after_a or before_b
 
 
 def crossing_profile(rep: StringRep) -> CrossingProfile:
     """Count proper crossings per curve pair and order them along each curve.
 
-    Raises on anything that violates the representation model: touching
-    points, overlaps, endpoints resting on curves, three curves through one
-    point, self-intersecting curves.
+    The segment-pair scan records each crossing's arc position on both
+    curves where it finds it. A crossing is proper when exactly one branch
+    of one curve lies inside the sweep between the two branches of the
+    other. Raises on anything that violates the representation model:
+    touching points, overlaps, endpoints resting on curves, three curves
+    through one point, self-intersecting curves.
     """
     curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
     for c in curves:
         _curve_self_check(c)
+    data = [[(k, a, b) + _fbox(a, b) for k, (a, b) in enumerate(c.segments)] for c in curves]
 
-    data = []
-    for c in curves:
-        segs = c.segments
-        hs = []
-        for a, b in segs:
-            x0, x1 = sorted((float(a[0]), float(b[0])))
-            y0, y1 = sorted((float(a[1]), float(b[1])))
-            # reject-only prefilter: pad beyond float rounding error
-            pad = 1e-9 + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
-            hs.append((a, b, x0 - pad, x1 + pad, y0 - pad, y1 + pad))
-        data.append((c, hs))
-
-    pair_points: dict[tuple[int, int], set[Point]] = {}
+    # (u, v) -> {crossing point: (position on u, position on v)}
+    pair_hits: dict[tuple[int, int], dict[Point, tuple]] = {}
     point_curves: dict[Point, set[int]] = {}
-    for i in range(len(curves)):
-        ci, hsi = data[i]
+    for i, ci in enumerate(curves):
         for j in range(i + 1, len(curves)):
-            cj, hsj = data[j]
-            hits: set[Point] = set()
-            for a, b, x0, x1, y0, y1 in hsi:
-                for c_, d_, u0, u1, v0, v1 in hsj:
+            cj = curves[j]
+            hits: dict[Point, tuple] = {}
+            for k, a, b, x0, x1, y0, y1 in data[i]:
+                for l, c_, d_, u0, u1, v0, v1 in data[j]:
                     if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                         continue
                     r = segment_intersection((a, b), (c_, d_))
@@ -326,9 +316,10 @@ def crossing_profile(rep: StringRep) -> CrossingProfile:
                         raise CurveOverlap(
                             f"curves {ci.vertex} and {cj.vertex} overlap on a segment"
                         )
-                    hits.add(r)
+                    if r not in hits:
+                        hits[r] = (_position(k, a, b, r), _position(l, c_, d_, r))
             if hits:
-                pair_points[(ci.vertex, cj.vertex)] = hits
+                pair_hits[(ci.vertex, cj.vertex)] = hits
                 for p in hits:
                     point_curves.setdefault(p, set()).update((ci.vertex, cj.vertex))
 
@@ -339,59 +330,32 @@ def crossing_profile(rep: StringRep) -> CrossingProfile:
     by_vertex = {c.vertex: c for c in curves}
     pair_counts: dict[tuple[int, int], int] = {}
     pair_pts: dict[tuple[int, int], tuple[Point, ...]] = {}
-    seq_raw: dict[int, list[tuple[int, Fraction, int]]] = {c.vertex: [] for c in curves}
-
-    for (u, v), pts in sorted(pair_points.items()):
+    seq_raw: dict[int, list[tuple[tuple[int, Fraction], int]]] = {c.vertex: [] for c in curves}
+    for (u, v), hits in sorted(pair_hits.items()):
         cu, cv = by_vertex[u], by_vertex[v]
-        for p in sorted(pts):
-            for c in (cu, cv):
+        pts = tuple(sorted(hits))
+        for p in pts:
+            for c, other in ((cu, v), (cv, u)):
                 if p == c.tail or p == c.head:
                     raise EndpointOnCurve(
-                        f"endpoint of curve {c.vertex} lies on curve "
-                        f"{cv.vertex if c is cu else cu.vertex} at {p}"
+                        f"endpoint of curve {c.vertex} lies on curve {other} at {p}"
                     )
-            lu = _locate(cu, p)
-            lv = _locate(cv, p)
-            dirs = [(d, u) for d in _branches(cu, lu)] + [(d, v) for d in _branches(cv, lv)]
-            assert len(dirs) == 4
-            # exact angular sort; identical directions across curves = overlap
-            for k in range(len(dirs)):
-                for l in range(k + 1, len(dirs)):
-                    d1, l1 = dirs[k]
-                    d2, l2 = dirs[l]
-                    cr = d1[0] * d2[1] - d1[1] * d2[0]
-                    dot = d1[0] * d2[0] + d1[1] * d2[1]
-                    if cr == 0 and dot > 0 and l1 != l2:
-                        raise CurveOverlap(f"curves {u} and {v} run together at {p}")
-            ordered = _sort_dirs(dirs)
-            labels = [l for _d, l in ordered]
-            if labels[0] == labels[1] or labels[1] == labels[2] or labels[2] == labels[3]:
+            lu, lv = hits[p]
+            bu, bv = _branches(cu, lu), _branches(cv, lv)
+            # identical directions of the two curves = overlap
+            if any(_cross(d, e) == 0 and d[0] * e[0] + d[1] * e[1] > 0 for d in bu for e in bv):
+                raise CurveOverlap(f"curves {u} and {v} run together at {p}")
+            if _in_sweep(*bu, bv[0]) == _in_sweep(*bu, bv[1]):
                 raise TouchingPoint(
                     f"curves {u} and {v} meet at {p} without alternation"
                 )
-            key = (u, v)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-            pair_pts.setdefault(key, ())
-            pair_pts[key] = pair_pts[key] + (p,)
-            seq_raw[u].append((lu[0], lu[1], v))
-            seq_raw[v].append((lv[0], lv[1], u))
+            seq_raw[u].append((lu, v))
+            seq_raw[v].append((lv, u))
+        pair_counts[(u, v)] = len(pts)
+        pair_pts[(u, v)] = pts
 
-    sequences = {
-        v: tuple(partner for _i, _t, partner in sorted(lst, key=lambda x: (x[0], x[1])))
-        for v, lst in seq_raw.items()
-    }
+    sequences = {v: tuple(partner for _loc, partner in sorted(lst)) for v, lst in seq_raw.items()}
     return CrossingProfile(pair_counts, sequences, pair_pts)
-
-
-def _sort_dirs(dirs):
-    out = list(dirs)
-    # insertion sort with the exact comparator (only 4 entries)
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and _angle_less(out[j][0], out[j - 1][0]):
-            out[j], out[j - 1] = out[j - 1], out[j]
-            j -= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +369,12 @@ def verify_1string(rep: StringRep, g: Graph, profile: CrossingProfile | None = N
         raise ValueError("representation must carry one curve per vertex")
     prof = profile if profile is not None else crossing_profile(rep)
     failures = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            want = 1 if g.has_edge(u, v) else 0
-            got = prof.count(u, v)
-            if got != want:
-                failures.append(_fail("CrossingCount", pair=(u, v), expected=want, got=got))
+    # every other pair is a non-edge that does not cross
+    for u, v in sorted(set(g.edges) | set(prof.pair_counts)):
+        want = 1 if g.has_edge(u, v) else 0
+        got = prof.count(u, v)
+        if got != want:
+            failures.append(_fail("CrossingCount", pair=(u, v), expected=want, got=got))
     return Report(not failures, tuple(failures))
 
 
@@ -460,36 +424,46 @@ def _circle_side(w: CircleWitness, p: Point) -> int:
 
 
 class _PolyIndex:
-    """Float-bucketed spatial index over witness segments. Buckets only
-    prefilter; every geometric decision stays exact."""
-
-    _PAD = 1e-6
+    """Witness segments bucketed on a grid of about as many cells as
+    segments, laid over the witness's own bounding box, so the cost stays the
+    same when the input is scaled or translated. Buckets only prefilter;
+    every geometric decision stays exact."""
 
     def __init__(self, w: PolylineWitness):
         self.segs = w.segments()
+        if any(a == b for a, b in self.segs):
+            raise DegenerateSegment("witness repeats a point")
+        self.boxes = [_fbox(a, b) for a, b in self.segs]
+        self.last = math.isqrt(len(self.segs))  # k = last + 1 cells per side
+        # the box padding keeps both sides of the bounding box positive
+        self.x0 = min(box[0] for box in self.boxes)
+        self.y0 = min(box[2] for box in self.boxes)
+        self.dx = (max(box[1] for box in self.boxes) - self.x0) / (self.last + 1)
+        self.dy = (max(box[3] for box in self.boxes) - self.y0) / (self.last + 1)
         self.cells: dict[tuple[int, int], list[int]] = {}
-        self.ybuckets: dict[int, list[int]] = {}
-        for i, (a, b) in enumerate(self.segs):
-            x0, x1 = sorted((float(a[0]), float(b[0])))
-            y0, y1 = sorted((float(a[1]), float(b[1])))
-            pad = self._PAD + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
-            box = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
-            for ix in range(math.floor(box[0]), math.floor(box[1]) + 1):
-                for iy in range(math.floor(box[2]), math.floor(box[3]) + 1):
-                    self.cells.setdefault((ix, iy), []).append(i)
-            for iy in range(math.floor(box[2]), math.floor(box[3]) + 1):
-                self.ybuckets.setdefault(iy, []).append(i)
+        for i, box in enumerate(self.boxes):
+            for cell in self._cells(*box):
+                self.cells.setdefault(cell, []).append(i)
 
-    def near_box(self, x0: float, x1: float, y0: float, y1: float) -> list[int]:
+    def _cells(self, x0: float, x1: float, y0: float, y1: float) -> list[tuple[int, int]]:
+        """The grid cells that a box meets; the edge cells extend outwards."""
+        ix = [int(min(max((x - self.x0) / self.dx, 0), self.last)) for x in (x0, x1)]
+        iy = [int(min(max((y - self.y0) / self.dy, 0), self.last)) for y in (y0, y1)]
+        return [(i, j) for i in range(ix[0], ix[1] + 1) for j in range(iy[0], iy[1] + 1)]
+
+    def near(self, x0: float, x1: float, y0: float, y1: float) -> set[int]:
+        """Segments whose box meets the given box (and maybe a few more)."""
         out: set[int] = set()
-        for ix in range(math.floor(x0 - self._PAD), math.floor(x1 + self._PAD) + 1):
-            for iy in range(math.floor(y0 - self._PAD), math.floor(y1 + self._PAD) + 1):
-                out.update(self.cells.get((ix, iy), ()))
-        return sorted(out)
+        for cell in self._cells(x0, x1, y0, y1):
+            for i in self.cells.get(cell, ()):
+                u0, u1, v0, v1 = self.boxes[i]
+                if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
+                    out.add(i)
+        return out
 
     def on_boundary(self, p: Point) -> bool:
         fx, fy = float(p[0]), float(p[1])
-        for i in self.cells.get((math.floor(fx), math.floor(fy)), ()):
+        for i in self.near(fx, fx, fy, fy):
             a, b = self.segs[i]
             dx, dy = b[0] - a[0], b[1] - a[1]
             if (p[0] - a[0]) * dy != (p[1] - a[1]) * dx:
@@ -505,7 +479,9 @@ class _PolyIndex:
         boundary membership."""
         cnt = 0
         px, py = p
-        for i in self.ybuckets.get(math.floor(float(py)), ()):
+        fx, fy = float(px), float(py)
+        # a segment crossing the rightward ray meets its row right of p
+        for i in self.near(fx, math.inf, fy, fy):
             a, b = self.segs[i]
             ay, by = a[1], b[1]
             if (ay <= py < by) or (by <= py < ay):
@@ -544,9 +520,7 @@ def verify_outer_string(rep: StringRep, mode: str = BOTH_ENDS) -> Report:
             bad = False
             for a, b in c.segments:
                 ts = {Fraction(0), Fraction(1)}
-                x0, x1 = sorted((float(a[0]), float(b[0])))
-                y0, y1 = sorted((float(a[1]), float(b[1])))
-                for i in index.near_box(x0, x1, y0, y1):
+                for i in index.near(*_fbox(a, b)):
                     r = segment_intersection((a, b), index.segs[i])
                     if r is None:
                         continue

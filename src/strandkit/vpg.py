@@ -20,6 +20,7 @@ curves and reroutes S with a slit detour (the only case that edits S).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -402,14 +403,8 @@ def _piecewise(vals: list[Fraction]):
             return x - vals[0]
         if x >= vals[-1]:
             return F(len(vals) - 1) + (x - vals[-1])
-        lo, hi = 0, len(vals) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if vals[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        return F(lo) + (x - vals[lo]) / (vals[hi] - vals[lo])
+        lo = bisect_right(vals, x) - 1
+        return F(lo) + (x - vals[lo]) / (vals[lo + 1] - vals[lo])
 
     return f
 
@@ -436,12 +431,10 @@ def compact_grid(rep: StringRep) -> tuple[StringRep, tuple[int, int]]:
             p, q = pts[i], pts[(i + 1) % len(pts)]
             new_pts.append(fpt(p))
             cuts = set()
-            for val in xs:
-                if (p[0] < val < q[0]) or (q[0] < val < p[0]):
-                    cuts.add((val - p[0]) / (q[0] - p[0]))
-            for val in ys:
-                if (p[1] < val < q[1]) or (q[1] < val < p[1]):
-                    cuts.add((val - p[1]) / (q[1] - p[1]))
+            for k, vals in enumerate((xs, ys)):
+                lo, hi = sorted((p[k], q[k]))
+                for val in vals[bisect_right(vals, lo) : bisect_left(vals, hi)]:
+                    cuts.add((val - p[k]) / (q[k] - p[k]))
             for t in sorted(cuts):
                 new_pts.append(fpt((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))))
         wit = PolylineWitness(tuple(_simplify_closed(new_pts)))

@@ -56,6 +56,9 @@ MALFORMED = {
     "parallel_edge": ("g.txt", "0 1\n1 0\n"),
     "truncated_json": ("g.json", '{"n": 2, "edges": [[0, 1]'),
     "no_edges_key": ("g.json", '{"n": 2}'),
+    "empty_edge_list": ("g.txt", ""),
+    "zero_vertices": ("g.json", '{"n": 0, "edges": []}'),
+    "negative_vertices": ("g.json", '{"n": -2, "edges": []}'),
     "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
     # a triangle's rep, checked against a 4-vertex path
     "curves_not_vertices": ("rep.json", json.dumps({"curves": {

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,7 @@ from strandkit.geom import (
     verify_outer_string,
 )
 from strandkit.graphs import Graph, PlaneGraph, RotationScheme
+from strandkit.vpg import build_vpg
 
 
 def seg(a, b, c, d):
@@ -91,6 +93,50 @@ def test_overlap_error():
     }
     with pytest.raises(CurveOverlap):
         crossing_profile(StringRep(reps))
+
+
+def polyline(*xy):
+    return tuple(pt(x, y) for x, y in zip(xy[::2], xy[1::2]))
+
+
+PEAK = polyline(0, 0, 2, 2, 4, 0)  # bend at (2, 2), both branches point down
+CROSSING_TABLE = {
+    # a straight curve through the bend of the other
+    "through_bend": ([PEAK, polyline(2, 0, 2, 4)], {(0, 1): 1}, {0: (1,), 1: (0,)}),
+    # the branches of v at (2, 2) leave down-left and up: one inside u's sweep
+    "bend_on_bend": ([PEAK, polyline(1, 0, 2, 2, 3, 5)], {(0, 1): 1}, {0: (1,), 1: (0,)}),
+    "touch_at_bends": ([PEAK, polyline(1, 4, 2, 2, 3, 4)], TouchingPoint, None),
+    # walked the other way, the sweep between u's branches is 270 degrees
+    "wide_sweep_cross": ([PEAK[::-1], polyline(2, 0, 2, 4)], {(0, 1): 1}, {0: (1,), 1: (0,)}),
+    "wide_sweep_touch": ([PEAK[::-1], polyline(1, 4, 2, 2, 3, 4)], TouchingPoint, None),
+    # v bends at the peak too: in from below, out to the right
+    "wide_sweep_bend_on_bend": (
+        [PEAK[::-1], polyline(2, 0, 2, 2, 4, 2)], {(0, 1): 1}, {0: (1,), 1: (0,)}),
+    # u = L with its bend at (4, 0); the middle crossing sits on that bend
+    "sequence_with_bend": (
+        [polyline(0, 0, 4, 0, 4, 4), polyline(2, -1, 2, 1), polyline(3, 1, 5, -1),
+         polyline(3, 2, 5, 2)],
+        {(0, 1): 1, (0, 2): 1, (0, 3): 1},
+        {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (0,)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSSING_TABLE))
+def test_crossing_profile_table(case):
+    curves, counts, sequences = CROSSING_TABLE[case]
+    rep = StringRep({v: Curve(v, pts) for v, pts in enumerate(curves)})
+    if isinstance(counts, type):
+        with pytest.raises(counts):
+            crossing_profile(rep)
+        return
+    prof = crossing_profile(rep)
+    assert prof.pair_counts == counts
+    assert prof.sequences == sequences
+    # the same holds with every curve walked the other way
+    flipped = crossing_profile(reverse_curves(rep, rep.curves))
+    assert flipped.pair_counts == counts
+    assert flipped.sequences == {v: seq[::-1] for v, seq in sequences.items()}
 
 
 def test_verify_1string_fail_cases():
@@ -178,6 +224,90 @@ def test_profile_invariant_under_scaling_translation(sx, tx, ty):
     prof = crossing_profile(moved)
     assert prof.pair_counts == base.pair_counts
     assert prof.sequences == base.sequences
+
+
+def _moved(rep, s, tx, ty):
+    return map_rep(rep, lambda p: (p[0] * s + tx, p[1] * s + ty))
+
+
+def _report_back(report, s, tx, ty):
+    """The report with its failure points mapped back through the move."""
+    out = []
+    for f in report.failures:
+        f = dict(f)
+        if "point" in f:
+            x, y = (F(c) for c in f["point"])
+            f["point"] = ((x - tx) / s, (y - ty) / s)
+        out.append(f)
+    return report.ok, out
+
+
+def _outer_reps():
+    """A VPG rep that passes, and a copy with one curve poking out of the
+    witness and one end pulled off it."""
+    rep = build_vpg(random_maximal_outerplanar(7, seed=3).graph).rep
+    curves = dict(rep.curves)
+    lo_x = min(p[0] for p in rep.witness.points)
+    c0 = curves[0]
+    curves[0] = Curve(0, ((lo_x - 3, c0.tail[1]),) + c0.points[1:])
+    c1 = curves[1]
+    mid = tuple((a + b) / 2 for a, b in zip(c1.points[-2], c1.head))
+    curves[1] = Curve(1, c1.points[:-1] + (mid,))
+    return rep, StringRep(curves, rep.witness)
+
+
+OUTER_REPS = _outer_reps()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    s=st.integers(min_value=1, max_value=10**4),
+    tx=st.integers(min_value=-10**9, max_value=10**9),
+    ty=st.integers(min_value=-10**9, max_value=10**9),
+)
+def test_outer_string_invariant_under_scaling_translation(s, tx, ty):
+    for rep in OUTER_REPS:
+        for mode in (BOTH_ENDS, ONE_END):
+            base = verify_outer_string(rep, mode)
+            moved = verify_outer_string(_moved(rep, s, tx, ty), mode)
+            assert _report_back(moved, s, tx, ty) == _report_back(base, 1, 0, 0)
+    assert not verify_outer_string(OUTER_REPS[1]).ok
+
+
+def test_outer_string_at_scale_1e6():
+    """The n=12 VPG rep of the perfbench verify workload, scaled by 10^6 and
+    translated, gets the same report within a few seconds."""
+    g = random_maximal_outerplanar(12, seed=7).graph
+    rep = build_vpg(g).rep
+    s, tx, ty = 10**6, -1234567, 7654321
+    big = _moved(rep, s, tx, ty)
+    t0 = time.perf_counter()
+    moved = verify_outer_string(big, BOTH_ENDS)
+    assert time.perf_counter() - t0 < 5
+    assert moved.ok and _report_back(moved, s, tx, ty) == _report_back(
+        verify_outer_string(rep, BOTH_ENDS), 1, 0, 0)
+
+
+def test_witness_with_repeated_point_rejected_at_every_scale():
+    sq = (pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
+    inside = Curve(0, (pt(2, 0), pt(5, 5), pt(8, 0)))
+    for pts in (sq + sq[:1], sq[:2] + sq[1:]):
+        for s in (1, 1000):
+            rep = _moved(StringRep({0: inside}, PolylineWitness(pts)), s, 0, 0)
+            with pytest.raises(DegenerateSegment):
+                verify_outer_string(rep)
+
+
+def test_verify_1string_reports_sorted_pairs():
+    rep, pg = _four_star_rep(False)
+    # drop the edge (0, 3) and add the non-crossing pair (1, 2)
+    g = Graph(5, [(1, 2), (0, 4), (0, 1), (0, 2)])
+    r = verify_1string(rep, g)
+    assert r.failures == (
+        {"kind": "CrossingCount", "pair": (0, 3), "expected": 0, "got": 1},
+        {"kind": "CrossingCount", "pair": (1, 2), "expected": 1, "got": 0},
+    )
+    assert all(type(f["expected"]) is int for f in r.failures)
 
 
 @settings(max_examples=20, deadline=None)
