@@ -3,7 +3,8 @@
 Ear induction on the biconnected augmentation: each live directed outer edge
 (u,v) owns an open parameter arc containing the tail of u's chord and the
 head of v's chord; an ear consumes its edge's arc and lays out new chord
-endpoints inside it. Circle points use the rational tangent-half-angle map
+endpoints and arcs inside it with `graphs.ear_layout`, the layout the VPG
+chains share. Circle points use the rational tangent-half-angle map
 t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)); the gap point (-1,0) at t=infinity is
 never assigned.
 """
@@ -20,6 +21,7 @@ from .graphs import (
     PlaneGraph,
     biconnect_outerplanar,
     ear_decomposition,
+    ear_layout,
     is_outerplanar,
     restrict_breaks,
 )
@@ -168,51 +170,18 @@ def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> 
 
     step_done()
     for ear in dec.ears:
-        u, v = ear[0], ear[-1]
-        xs = ear[1:-1]
-        k = len(xs)
+        u, xs, v = ear[0], ear[1:-1], ear[-1]
         reg = regions.pop((u, v))
         p_u, p_v = reg.p_u, reg.p_v
         assert params[u][0] == p_u and params[v][1] == p_v
         outer_u, outer_v = (reg.lo, reg.hi) if p_u < p_v else (reg.hi, reg.lo)
-        u_new = (outer_u + p_u) / 2
-        v_new = (p_v + outer_v) / 2
-        qs = [p_u + (p_v - p_u) * F(j, 2 * k - 1) for j in range(1, 2 * k - 1)]
-
-        def q(j: int) -> Fraction:
-            # q_0 = p_u, q_{2k-1} = p_v, interior points 1..2k-2
-            if j == 0:
-                return p_u
-            if j == 2 * k - 1:
-                return p_v
-            return qs[j - 1]
-
-        for i, x in enumerate(xs, start=1):
-            head = u_new if i == 1 else q(2 * i - 3)
-            tail = v_new if i == k else q(2 * i)
-            params[x] = (tail, head)
-
-        def mid(s: Fraction, t: Fraction) -> Fraction:
-            return (s + t) / 2
-
-        new_regions = []
-        new_regions.append(
-            ((u, xs[0]), mid(outer_u, u_new), mid(p_u, q(1)), p_u, u_new, (u, xs[0]))
-        )
-        for i in range(1, k):
-            e = (xs[i - 1], xs[i])
-            new_regions.append(
-                (e, mid(q(2 * i - 2), q(2 * i - 1)), mid(q(2 * i), q(2 * i + 1)),
-                 q(2 * i), q(2 * i - 1), e)
-            )
-        new_regions.append(
-            ((xs[-1], v), mid(q(2 * k - 2), p_v), mid(v_new, outer_v), v_new, p_v,
-             (xs[-1], v))
-        )
-        for edge, lo, hi, pu, pv, owners in new_regions:
-            lo, hi = (lo, hi) if lo < hi else (hi, lo)
-            cross = _chord_meet(params[owners[0]], params[owners[1]])
-            regions[edge] = _make_region(edge, lo, hi, pu, pv, cross)
+        ends, edges = ear_layout(outer_u, p_u, p_v, outer_v, len(xs))
+        params.update(zip(xs, ends))
+        chain = (u, *xs, v)
+        for i, (lo, hi, pu, pv) in enumerate(edges):
+            e = (chain[i], chain[i + 1])
+            cross = _chord_meet(params[e[0]], params[e[1]])
+            regions[e] = _make_region(e, lo, hi, pu, pv, cross)
         step_done()
 
     # drop the augmentation chords and restrict the rotation and breaks to g

@@ -80,10 +80,6 @@ class NonDiagonalSegment(StrandkitError):
     pass
 
 
-class ExtensionCollision(StrandkitError):
-    pass
-
-
 # oracle
 class InvalidBreak(StrandkitError):
     pass

@@ -11,6 +11,7 @@ edges (u,v) have u as the counterclockwise outer neighbor of v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     GraphNotConnected,
@@ -29,6 +30,8 @@ class Graph:
     __slots__ = ("n", "adj", "_adj_sets", "_edges")
 
     def __init__(self, n: int, edges: list[tuple[int, int]] | tuple = ()):
+        if n < 1:
+            raise ValueError(f"a graph needs at least one vertex, got n={n}")
         self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
@@ -375,6 +378,29 @@ def restrict_breaks(
         first = next((w for w in full[bpos:] + full[:bpos] if w < g.n), None)
         breaks[v] = 0 if first is None else induced.index(first)
     return super_breaks, PlaneGraph(g, RotationScheme(order)), breaks
+
+
+def ear_layout(lo, a, b, hi, k: int):
+    """Positions for an ear of k new vertices on the interval of a live
+    directed outer edge (u, v), shared by the circle and VPG ear steps.
+
+    The interval runs from `lo` on u's side to `hi` on v's side (either
+    direction); u's tail sits at `a` and v's head at `b`. The layout is
+    L = [lo, (lo+a)/2, a = q_0, q_1, ..., q_{2k-1} = b, (b+hi)/2, hi] with
+    the q_j evenly spaced. Returns the (tail, head) positions
+    (L[2i+2], L[2i-1]) of new vertices i = 1..k, and for each ear edge
+    i = 0..k the sorted window ((L[2i]+L[2i+1])/2, (L[2i+2]+L[2i+3])/2)
+    with its owner positions: the tail of its first vertex at L[2i+2] and
+    the head of its second at L[2i+1]."""
+    L = [lo, (lo + a) / 2, a]
+    L += [a + (b - a) * Fraction(j, 2 * k - 1) for j in range(1, 2 * k - 1)]
+    L += [b, (b + hi) / 2, hi]
+    ends = [(L[2 * i + 2], L[2 * i - 1]) for i in range(1, k + 1)]
+    edges = []
+    for i in range(k + 1):
+        m0, m1 = (L[2 * i] + L[2 * i + 1]) / 2, (L[2 * i + 2] + L[2 * i + 3]) / 2
+        edges.append((min(m0, m1), max(m0, m1), L[2 * i + 2], L[2 * i + 1]))
+    return ends, edges
 
 
 def replay_ears(n: int, dec: EarDecomposition) -> Graph:

@@ -22,14 +22,8 @@ def graph_to_json(g: Graph, rot: RotationScheme | None = None) -> dict:
     return out
 
 
-def _parsed_graph(n: int, edges: list) -> Graph:
-    if n < 1:
-        raise ValueError(f"a graph needs at least one vertex, got n={n}")
-    return Graph(n, edges)
-
-
 def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
-    g = _parsed_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
     rot = rotation_from_json(data, g.n)
     if rot is not None:
         rot.validate(g)
@@ -56,7 +50,7 @@ def graph_from_edge_text(text: str) -> Graph:
         u, v = line.split()
         edges.append((int(u), int(v)))
         mx = max(mx, int(u), int(v))
-    return _parsed_graph(mx + 1, edges)
+    return Graph(mx + 1, edges)
 
 
 def _pt_json(p) -> list[int]:

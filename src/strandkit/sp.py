@@ -8,6 +8,9 @@ a rectangular attachment slot whose top side lies on p's horizontal arm and
 whose right side lies on q's vertical arm; a child placed in the slot
 touches p with its top end and q with its right end, and the slot splits
 into three nested slots for the edges (p,q), (p,child), (child,q).
+
+The extension to 1-string moves each touching end along its own axis, top
+and right alike: one rule finds the nearest arm beyond the end.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExtensionCollision, NotTwoTree
+from .errors import NotTwoTree
 from .geom import Curve, StringRep
 from .graphs import (
     EliminationOrder,
@@ -163,124 +166,80 @@ def extend_to_1string(
 ) -> StringRep:
     """Turn each contact of a g-edge into one proper crossing by extending
     the touching end slightly; contacts of fill edges are first neutralized
-    by retracting the touching end."""
+    by retracting the touching end.
+
+    ends[v] = [right_x, top_y]: the end along axis k moves on the line
+    x = corner_v[0] (top) or y = corner_v[1] (right). The first L it would
+    meet is the w with the least corner_w[k] beyond the end whose arm
+    across the axis spans the line; an arm of w along the line starts at
+    that same corner, so one test covers both arms of w."""
     fill = set(tb.elim.fill_edges)
-    tops: dict[int, Pt] = {v: l.top for v, l in tb.ls.items()}
-    rights: dict[int, Pt] = {v: l.right_end for v, l in tb.ls.items()}
-
-    for key in sorted(tb.contacts):
-        c = tb.contacts[key]
-        if key not in fill:
-            continue
-        # retract the touching end half way back to the previous feature on
-        # its own arm, so the fill contact disappears
-        t = tb.ls[c.toucher]
-        if c.end == "top":
-            below = [y for y in v_feats_of(tb, c.toucher) if y < t.top[1]]
-            tops[c.toucher] = (t.top[0], (t.top[1] + max(below)) / 2)
-        else:
-            left = [x for x in h_feats_of(tb, c.toucher) if x < t.right_end[0]]
-            rights[c.toucher] = ((t.right_end[0] + max(left)) / 2, t.right_end[1])
-
-    def arms_now():
-        out = []
-        for w in tb.ls:
-            l = tb.ls[w]
-            out.append((w, "V", l.corner[0], l.corner[1], tops[w][1]))
-            out.append((w, "H", l.corner[1], l.corner[0], rights[w][0]))
-        return out
+    corner = {v: l.corner for v, l in tb.ls.items()}
+    ends = {v: [l.right_end[0], l.top[1]] for v, l in tb.ls.items()}
+    on_arm = _arm_contacts(tb)
+    contacts = sorted(tb.contacts.items())
+    for key, c in contacts:
+        if key in fill:
+            # retract the touching end half way back to the previous feature
+            # on its own arm, so the fill contact disappears
+            v, k = c.toucher, _axis(c)
+            below = max([corner[v][k]] + [x for x, _w in on_arm[v][k]])
+            ends[v][k] = (ends[v][k] + below) / 2
 
     # extensions are sequential: each obstacle scan sees the arms already
     # extended, so two extensions can never collide in fresh territory
-    for key in sorted(tb.contacts):
-        c = tb.contacts[key]
+    for key, c in contacts:
         if key in fill:
             continue
-        arms = arms_now()
-        if c.end == "top":
-            x = tb.ls[c.toucher].corner[0]
-            y = tops[c.toucher][1]
-            obstacles = []
-            for (w, kind, a0, a1, a2) in arms:
-                if w == c.toucher:
-                    continue
-                if kind == "H" and a1 <= x <= a2 and a0 > y:
-                    obstacles.append(a0)
-                if kind == "V" and a0 == x and min(a1, a2) > y:
-                    obstacles.append(min(a1, a2))
-            delta = (min(obstacles) - y) / 2 if obstacles else F(1)
-            if delta <= 0:
-                raise ExtensionCollision(f"vertex {c.toucher} top extension blocked")
-            tops[c.toucher] = (x, y + delta)
-        else:
-            y = tb.ls[c.toucher].corner[1]
-            x = rights[c.toucher][0]
-            obstacles = []
-            for (w, kind, a0, a1, a2) in arms:
-                if w == c.toucher:
-                    continue
-                if kind == "V" and a1 <= y <= a2 and a0 > x:
-                    obstacles.append(a0)
-                if kind == "H" and a0 == y and min(a1, a2) > x:
-                    obstacles.append(min(a1, a2))
-            delta = (min(obstacles) - x) / 2 if obstacles else F(1)
-            if delta <= 0:
-                raise ExtensionCollision(f"vertex {c.toucher} right extension blocked")
-            rights[c.toucher] = (x + delta, y)
+        v, k = c.toucher, _axis(c)
+        line, end = corner[v][1 - k], ends[v][k]
+        beyond = [
+            cw[k]
+            for w, cw in corner.items()
+            if w != v and cw[k] > end and cw[1 - k] <= line <= ends[w][1 - k]
+        ]
+        ends[v][k] = end + ((min(beyond) - end) / 2 if beyond else F(1))
 
     curves = {}
     for v in range(g.n):
-        l = tb.ls[v]
-        curves[v] = Curve(v, (tops[v], l.corner, rights[v]))
+        (x, y), (right_x, top_y) = corner[v], ends[v]
+        curves[v] = Curve(v, ((x, top_y), (x, y), (right_x, y)))
     return StringRep(curves, None)
 
 
-def v_feats_of(tb: TouchingBuild, v: int) -> list[Fraction]:
-    l = tb.ls[v]
-    out = [l.corner[1]]
-    for c in tb.contacts.values():
-        if c.holder == v and c.end == "right":
-            out.append(c.point[1])
-    return out
+def _axis(c: Contact) -> int:
+    """Axis along which the touching end points: 0 right, 1 top."""
+    return 1 if c.end == "top" else 0
 
 
-def h_feats_of(tb: TouchingBuild, v: int) -> list[Fraction]:
-    l = tb.ls[v]
-    out = [l.corner[0]]
+def _arm_contacts(tb: TouchingBuild) -> dict[int, tuple[list, list]]:
+    """For each L, the contacts resting on its horizontal (0) and vertical
+    (1) arm, as sorted (coordinate along the arm, toucher) pairs."""
+    on_arm: dict[int, tuple[list, list]] = {v: ([], []) for v in tb.ls}
     for c in tb.contacts.values():
-        if c.holder == v and c.end == "top":
-            out.append(c.point[0])
-    return out
+        j = 1 - _axis(c)
+        on_arm[c.holder][j].append((c.point[j], c.toucher))
+    for arms in on_arm.values():
+        for arm in arms:
+            arm.sort()
+    return on_arm
 
 
 def derive_embedding(tb: TouchingBuild) -> PlaneGraph:
     """Clockwise rotation of the completed 2-tree read off the contacts:
     place the vertex point just above-right of the corner and connect it to
     the contact points along the L and to the two arm ends."""
-    n = tb.completed.n
+    touched: dict[int, list] = {v: [None, None] for v in tb.ls}
+    for c in tb.contacts.values():
+        touched[c.toucher][_axis(c)] = c.holder
+    on_arm = _arm_contacts(tb)
     order: list[list[int]] = []
-    for v in range(n):
-        l = tb.ls[v]
-        top_partner = None
-        right_partner = None
-        on_h: list[tuple[Fraction, int]] = []
-        on_v: list[tuple[Fraction, int]] = []
-        for key, c in tb.contacts.items():
-            if c.toucher == v:
-                if c.end == "top":
-                    top_partner = c.holder
-                else:
-                    right_partner = c.holder
-            elif c.holder == v:
-                if c.end == "top":
-                    on_h.append((c.point[0], c.toucher))
-                else:
-                    on_v.append((c.point[1], c.toucher))
-        cyc: list[int] = []
-        if right_partner is not None:
-            cyc.append(right_partner)
-        cyc.extend(w for _x, w in sorted(on_h, reverse=True))
-        cyc.extend(w for _y, w in sorted(on_v))
+    for v in range(tb.completed.n):
+        right_partner, top_partner = touched[v]
+        on_h, on_v = on_arm[v]
+        cyc = [] if right_partner is None else [right_partner]
+        cyc.extend(w for _x, w in reversed(on_h))
+        cyc.extend(w for _y, w in on_v)
         if top_partner is not None:
             cyc.append(top_partner)
         order.append(cyc)

@@ -12,9 +12,11 @@ owner stretches enter with frame slopes that classify the region:
     Q     head(v) left  / tail(u) right, both rising away      (same slope)
     CONV  head(v) left rising right / tail(u) right rising left (converging)
 
-plus horizontal mirrors of all three. Ears insert chains of peaks inside the
-region; the converging single-vertex case uses a valley, shortens the owner
-curves and reroutes S with a slit detour (the only case that edits S).
+plus horizontal mirrors of all three. P, Q and multi-vertex CONV ears are one
+chain of peaks, laid out by `graphs.ear_layout` (the circle ear layout) on the
+hyp from u's side to v's. Only the single-vertex CONV ear uses a valley: it
+shortens the owner curves and reroutes S with a slit detour (the only case
+that edits S).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .graphs import (
     PlaneGraph,
     biconnect_outerplanar,
     ear_decomposition,
+    ear_layout,
     is_outerplanar,
     restrict_breaks,
 )
@@ -147,20 +150,6 @@ def _between(p: Pt, q: Pt, x: Pt) -> bool:
     return 0 < t < 1
 
 
-def _peak(H: Fraction, T: Fraction, tail_left: bool) -> list[Pt]:
-    bend = ((H + T) / 2, (T - H) / 2)
-    if tail_left:
-        return [(H, F(0)), bend, (T, F(0))]
-    return [(T, F(0)), bend, (H, F(0))]
-
-
-def _neighbor_bounds(featues_sorted, p, q):
-    """lo/hi midpoints isolating the protected pair (p < q)."""
-    prev_p = max(x for x in featues_sorted if x < p)
-    next_q = min(x for x in featues_sorted if x > q)
-    return (prev_p + p) / 2, (q + next_q) / 2
-
-
 # ---------------------------------------------------------------------------
 # ear insertion
 # ---------------------------------------------------------------------------
@@ -176,81 +165,30 @@ def _insert_ear(b: _Builder, u: int, xs: tuple[int, ...], v: int) -> None:
         frame = frame.mirrored(w)
         xi_u, xi_v = w - xi_u, w - xi_v
         s_u, s_v = -s_u, -s_v
-    k = len(xs)
-    if s_u == 1 and s_v == 1:
-        if xi_u < xi_v:
-            _case_p(b, frame, w, u, xs, v, xi_u, xi_v)
-        else:
-            _case_q_conv(b, frame, w, u, xs, v, xi_v, xi_u, conv=False)
-    else:
-        assert s_v == 1 and s_u == -1 and xi_v < xi_u, "diverging region cannot arise"
-        if k == 1:
-            _case_conv_valley(b, frame, w, u, xs[0], v, xi_v, xi_u)
-        else:
-            _case_q_conv(b, frame, w, u, xs, v, xi_v, xi_u, conv=True)
-
-
-def _commit_curves(b: _Builder, frame: Frame, pts_by_vertex: dict[int, list[Pt]]) -> None:
-    for x, pts in pts_by_vertex.items():
-        b.curves[x] = [frame.to_world(p[0], p[1]) for p in pts]
-
-
-def _add_region(
-    b: _Builder,
-    frame: Frame,
-    edge: tuple[int, int],
-    lo: Fraction,
-    hi: Fraction,
-    xi_u: Fraction,
-    s_u: int,
-    xi_v: Fraction,
-    s_v: int,
-) -> None:
-    sub = frame.sub((lo, F(0)), (1, 0), (0, 1))
-    b.regions[edge] = TriRegion(edge, sub, hi - lo, xi_u - lo, s_u, xi_v - lo, s_v)
-
-
-def _case_p(b, frame, w, u, xs, v, a, bb):
-    """Same slope, tail(u)@a left of head(v)@bb; chain of peaks, tails right."""
-    k = len(xs)
-    H = {1: a / 2}
-    T = {k: (bb + w) / 2}
-    if k >= 2:
-        step = (bb - a) / (2 * k - 1)
-        for j in range(1, k):
-            H[j + 1] = a + (2 * j - 1) * step
-            T[j] = a + 2 * j * step
-    _commit_curves(b, frame, {x: _peak(H[i], T[i], tail_left=False) for i, x in enumerate(xs, 1)})
-    feats = sorted([F(0), w, a, bb] + list(H.values()) + list(T.values()))
-    lo, hi = _neighbor_bounds(feats, H[1], a)
-    _add_region(b, frame, (u, xs[0]), lo, hi, a, 1, H[1], 1)
-    for i in range(1, k):
-        lo, hi = _neighbor_bounds(feats, H[i + 1], T[i])
-        _add_region(b, frame, (xs[i - 1], xs[i]), lo, hi, T[i], -1, H[i + 1], 1)
-    lo, hi = _neighbor_bounds(feats, bb, T[k])
-    _add_region(b, frame, (xs[-1], v), lo, hi, T[k], -1, bb, 1)
-
-
-def _case_q_conv(b, frame, w, u, xs, v, h, t, conv: bool):
-    """head(v)@h left of tail(u)@t. Q: u rises right (+1); CONV: u rises
-    left (-1) with the owners' crossing inside. Chain of peaks, tails left."""
-    k = len(xs)
-    H = {k: h / 2}
-    T = {1: (t + w) / 2}
-    if k >= 2:
-        step = (t - h) / (2 * k - 1)
-        for j in range(1, k):
-            H[k - j] = h + (2 * j - 1) * step
-            T[k - j + 1] = h + 2 * j * step
-    _commit_curves(b, frame, {x: _peak(H[i], T[i], tail_left=True) for i, x in enumerate(xs, 1)})
-    feats = sorted([F(0), w, h, t] + list(H.values()) + list(T.values()))
-    lo, hi = _neighbor_bounds(feats, t, T[1])
-    _add_region(b, frame, (u, xs[0]), lo, hi, t, -1 if conv else 1, T[1], -1)
-    for i in range(1, k):
-        lo, hi = _neighbor_bounds(feats, H[i], T[i + 1])
-        _add_region(b, frame, (xs[i - 1], xs[i]), lo, hi, H[i], 1, T[i + 1], -1)
-    lo, hi = _neighbor_bounds(feats, H[k], h)
-    _add_region(b, frame, (xs[-1], v), lo, hi, H[k], 1, h, 1)
+    assert (s_u, s_v) == (1, 1) or ((s_u, s_v) == (-1, 1) and xi_v < xi_u), (
+        "diverging region cannot arise"
+    )
+    if s_u == -1 and len(xs) == 1:
+        _case_conv_valley(b, frame, w, u, xs[0], v, xi_v, xi_u)
+        return
+    # P, Q and CONV chains: peaks laid out from u's side of the hyp (lo) to
+    # v's (hi); slope d rises toward hi. Each new head rises toward hi (d),
+    # each new tail toward lo (-d).
+    lo, hi, d = (F(0), w, 1) if xi_u < xi_v else (w, F(0), -1)
+    ends, edges = ear_layout(lo, xi_u, xi_v, hi, len(xs))
+    for x, (t, h) in zip(xs, ends):
+        b.curves[x] = [
+            frame.to_world(t, F(0)),
+            frame.to_world((t + h) / 2, abs(t - h) / 2),
+            frame.to_world(h, F(0)),
+        ]
+    chain = (u, *xs, v)
+    for i, (r0, r1, p_u, p_v) in enumerate(edges):
+        sub = frame.sub((r0, F(0)), (1, 0), (0, 1))
+        e = (chain[i], chain[i + 1])
+        b.regions[e] = TriRegion(
+            e, sub, r1 - r0, p_u - r0, s_u if i == 0 else -d, p_v - r0, s_v if i == len(xs) else d
+        )
 
 
 def _case_conv_valley(b, frame, w, u, x, v, h, t):

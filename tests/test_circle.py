@@ -20,7 +20,7 @@ from strandkit.geom import (
 )
 from strandkit.graphs import Graph
 
-from conftest import outerplanar_corpus
+from conftest import atlas_connected_outerplanar, outerplanar_corpus
 
 
 def verify_build(g, per_ear=False):
@@ -124,3 +124,10 @@ def test_long_ear_on_child_region():
 def test_long_ear_chain_c7():
     g = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
     verify_build(g, per_ear=True)
+
+
+def test_atlas_per_ear():
+    gs = atlas_connected_outerplanar(7)
+    assert len(gs) == 239
+    for g in gs:
+        build_circle(g, per_ear_check=True)

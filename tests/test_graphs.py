@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as F
 
 import networkx as nx
 import pytest
@@ -12,6 +13,7 @@ from strandkit.graphs import (
     biconnect_outerplanar,
     completed_two_tree,
     ear_decomposition,
+    ear_layout,
     euler_check,
     faces,
     is_biconnected,
@@ -217,3 +219,31 @@ def test_completion_soundness(seed):
     g = random_partial_2tree(4 + 3 * seed, 0.6, seed=seed)
     e = two_tree_completion(g)
     assert replay_two_tree(g, e) == completed_two_tree(g, e)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_graph_needs_a_vertex(n):
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(n, [])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("lo,a,b,hi", [
+    (F(0), F(1), F(5), F(6)),
+    (F(6), F(5), F(1), F(0)),
+    (F(3), F(2), F(1, 3), F(-1, 12)),
+])
+def test_ear_layout(k, lo, a, b, hi):
+    ends, edges = ear_layout(lo, a, b, hi, k)
+    assert len(ends) == k and len(edges) == k + 1
+    # L = [lo, L1, L2, ..., L_{2k+2}, hi], read back from the owner positions
+    L = [lo] + [p for _w0, _w1, p_u, p_v in edges for p in (p_v, p_u)] + [hi]
+    assert len(L) == 2 * k + 4 and L[2] == a and L[2 * k + 1] == b
+    step = 1 if lo < hi else -1
+    assert L[::step] == sorted(L) and len(set(L)) == len(L)
+    assert ends == [(L[2 * i + 2], L[2 * i - 1]) for i in range(1, k + 1)]
+    windows = sorted((w0, w1) for w0, w1, _pu, _pv in edges)
+    assert all(w0 < w1 for w0, w1 in windows)
+    assert all(p[1] <= q[0] for p, q in zip(windows, windows[1:]))
+    for w0, w1, p_u, p_v in edges:
+        assert sorted(x for x in L if w0 < x < w1) == sorted((p_u, p_v))

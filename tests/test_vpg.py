@@ -17,7 +17,7 @@ from strandkit.geom import (
 from strandkit.graphs import Graph
 from strandkit.vpg import build_vpg, compact_grid, grid_size, rotate45
 
-from conftest import outerplanar_corpus
+from conftest import atlas_connected_outerplanar, outerplanar_corpus
 
 
 def verify_build(g, per_ear=False):
@@ -163,3 +163,12 @@ def test_mixed_depth_random_regression():
             continue
         verify_build(g, per_ear=True)
         checked += 1
+
+
+def test_atlas_per_ear():
+    # every chain case (P up to 6 new vertices, Q up to 4, CONV 2 to 4) and
+    # 163 valley ears, checked after each ear
+    gs = atlas_connected_outerplanar(7)
+    assert len(gs) == 239
+    for g in gs:
+        build_vpg(g, per_ear_check=True)
