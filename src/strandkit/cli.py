@@ -29,7 +29,6 @@ from .families import (
 )
 from .geom import (
     BOTH_ENDS,
-    ONE_END,
     crossing_profile,
     verify_1string,
     verify_order_preserving,
@@ -73,17 +72,16 @@ class _Run:
         return text
 
     def read_graph(self, path: str):
-        text = self._read(path)
         with _parsing(path):
+            text = self._read(path)
             if path.endswith(".txt"):
                 return jsonio.graph_from_edge_text(text), None
             return jsonio.graph_from_json(json.loads(text))
 
     def read_rep(self, path: str):
         """The rep in a rep JSON file, and the parsed JSON."""
-        text = self._read(path)
         with _parsing(path):
-            data = json.loads(text)
+            data = json.loads(self._read(path))
             return jsonio.rep_from_json(data), data
 
     def write(self, path: str | None, text: str) -> None:
@@ -103,10 +101,13 @@ class _Run:
             target = args.out + ".manifest.json"
         line = jsonio.dumps(self.manifest)
         if target:
-            with open(target, "w") as fh:
-                fh.write(line)
-        else:
-            sys.stderr.write(line)
+            try:
+                with open(target, "w") as fh:
+                    fh.write(line)
+                return code
+            except OSError as exc:
+                sys.stderr.write(f"error: cannot write the manifest: {exc}\n")
+        sys.stderr.write(line)
         return code
 
 
@@ -253,17 +254,8 @@ def _cmd_verify(run: _Run, args) -> int:
 def _cmd_oracle(run: _Run, args) -> int:
     g, rot = run.read_graph(args.graph)
     plane = _plane_for(run, g, rot)
-    mode = {"base": None, "both-ends": BOTH_ENDS, "one-end": ONE_END}[args.mode]
-    budget = args.samples
     v = enumerate_breaks(
-        plane,
-        mode,
-        budget=budget,
-        jobs=args.jobs,
-        seed=args.seed,
-        gadgets=not args.no_gadgets,
-        chunk=args.chunk,
-        limit=args.limit,
+        plane, args.mode, budget=args.samples, jobs=args.jobs, seed=args.seed, limit=args.limit
     )
     _oracle_counters(run, v)
     run.write(args.out, jsonio.dumps(v.to_json()))
@@ -320,9 +312,7 @@ def _cmd_repro(run: _Run, args) -> int:
         return 0 if ok else 1
     if which == "thm6":
         pg = extended_wheel(7)
-        v = enumerate_breaks(
-            pg, BOTH_ENDS, jobs=args.jobs, chunk=args.chunk, limit=args.limit
-        )
+        v = enumerate_breaks(pg, BOTH_ENDS, jobs=args.jobs, limit=args.limit)
         _oracle_counters(run, v)
         expected = "no" if args.limit is None else "unknown"
         ok = v.status == expected
@@ -349,6 +339,9 @@ def _cmd_repro(run: _Run, args) -> int:
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="strandkit")
+    # a string default: argparse converts it with type=int, so a bad
+    # STRANDKIT_JOBS is a usage error
+    jobs = os.environ.get("STRANDKIT_JOBS", "1")
     p.add_argument("--manifest", help="write the run manifest to this path")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -389,10 +382,8 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--mode", choices=["base", "both-ends", "one-end"], default="base")
     o.add_argument("--samples", type=int)
     o.add_argument("--limit", type=int)
-    o.add_argument("--jobs", type=int, default=int(os.environ.get("STRANDKIT_JOBS", "1")))
+    o.add_argument("--jobs", type=int, default=jobs)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--no-gadgets", action="store_true")
-    o.add_argument("--chunk", type=int, default=2048)
     o.add_argument("--out")
     o.set_defaults(fn=_cmd_oracle)
 
@@ -409,8 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=1)
     r.add_argument("--density", type=float, default=0.7)
     r.add_argument("--samples", type=int, default=1_000_000)
-    r.add_argument("--jobs", type=int, default=int(os.environ.get("STRANDKIT_JOBS", "1")))
-    r.add_argument("--chunk", type=int, default=2048)
+    r.add_argument("--jobs", type=int, default=jobs)
     r.add_argument("--limit", type=int)
     r.add_argument("--out")
     r.set_defaults(fn=_cmd_repro)
@@ -427,10 +417,7 @@ def main(argv=None) -> int:
     run = _Run(["strandkit"] + argv)
     try:
         code = args.fn(run, args)
-    except StrandkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return run.finish(args, 2)
-    except FileNotFoundError as exc:
+    except (StrandkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return run.finish(args, 2)
     return run.finish(args, code)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import TooSmall
+from .errors import StrandkitError, TooSmall
 from .graphs import Graph, PlaneGraph, RotationScheme, faces
 
 __all__ = [
@@ -164,6 +164,8 @@ def random_partial_2tree(n: int, density: float = 0.7, seed: int = 0) -> Graph:
     density is the fraction of 2-tree edges kept (approximately)."""
     if n < 2:
         raise TooSmall("partial 2-tree needs n >= 2")
+    if not 0 <= density <= 1:  # also rejects NaN
+        raise StrandkitError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = [(0, 1)]
     for v in range(2, n):

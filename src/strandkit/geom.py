@@ -212,9 +212,6 @@ class Report:
     ok: bool
     failures: tuple[dict, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _fail(kind: str, **kw) -> dict:
     d = {"kind": kind}
@@ -491,10 +488,6 @@ class _PolyIndex:
         return cnt % 2 == 1
 
 
-def _point_ok_circle(w: CircleWitness, p: Point) -> bool:
-    return _circle_side(w, p) <= 0
-
-
 def verify_outer_string(rep: StringRep, mode: str = BOTH_ENDS) -> Report:
     """Witness containment, no proper witness crossing, and curve ends on the
     contour witness per mode (both-ends or one-end)."""
@@ -508,7 +501,7 @@ def verify_outer_string(rep: StringRep, mode: str = BOTH_ENDS) -> Report:
         for v in sorted(rep.curves):
             c = rep.curves[v]
             for p in c.points:
-                if not _point_ok_circle(w, p):
+                if _circle_side(w, p) > 0:
                     failures.append(_fail("WitnessCrossesCurve", vertex=v, point=_pp(p)))
                     break
             on = [_circle_side(w, c.tail) == 0, _circle_side(w, c.head) == 0]

@@ -130,7 +130,6 @@ class PlaneGraph:
 @dataclass(frozen=True)
 class FaceSet:
     faces: tuple[tuple[tuple[int, int], ...], ...]
-    outer_face_index: int | None = None
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -139,7 +138,7 @@ class FaceSet:
         return tuple(u for (u, _v) in self.faces[i])
 
 
-def faces(g: Graph, rot: RotationScheme, outer_face_index: int | None = None) -> FaceSet:
+def faces(g: Graph, rot: RotationScheme) -> FaceSet:
     """All faces of the rotation scheme by next-edge traversal."""
     rot.validate(g)
     out: list[tuple[tuple[int, int], ...]] = []
@@ -160,7 +159,7 @@ def faces(g: Graph, rot: RotationScheme, outer_face_index: int | None = None) ->
                 if (cu, cv) == start:
                     break
             out.append(tuple(face))
-    return FaceSet(tuple(out), outer_face_index)
+    return FaceSet(tuple(out))
 
 
 def euler_check(g: Graph, rot: RotationScheme) -> bool:
@@ -246,10 +245,6 @@ def is_biconnected(g: Graph) -> bool:
     return root_children <= 1
 
 
-def outer_walk(g: Graph, rot: RotationScheme, outer_face_index: int) -> tuple[tuple[int, int], ...]:
-    return faces(g, rot).faces[outer_face_index]
-
-
 def biconnect_outerplanar(g: Graph) -> tuple[Graph, list[int]]:
     """2-connected outer-planar supergraph containing g as an INDUCED subgraph.
 
@@ -267,7 +262,7 @@ def biconnect_outerplanar(g: Graph) -> tuple[Graph, list[int]]:
         raise NotOuterplanar("input graph is not outer-planar")
     if is_biconnected(g):
         return g, list(range(g.n))
-    walk = outer_walk(g, rot, ofi)
+    walk = faces(g, rot).faces[ofi]
     first_seen: list[int] = []
     seen: set[int] = set()
     for u, _v in walk:
@@ -308,7 +303,7 @@ def ear_decomposition(
     the root edge, emitted in DFS order."""
     if not is_biconnected(g):
         raise NotBiconnected("ear decomposition needs a 2-connected graph (or K_2)")
-    fs = faces(g, rot, outer_face_index)
+    fs = faces(g, rot)
     if outer_face_index is None:
         cands = [i for i in range(len(fs)) if len(set(fs.face_vertices(i))) == g.n]
         if not cands:

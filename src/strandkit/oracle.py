@@ -2,10 +2,15 @@
 every clockwise rotation at its break, and build the abstract diagram H
 (one node per crossing, two end nodes per curve, path edges along curves).
 An order-preserving 1-string representation with those breaks exists exactly
-when H is planar; crossing nodes are expanded into 4-wheel gadgets by
-default so that a planar embedding cannot cheat with a touching (u,u,v,v)
-rotation. Outer-string variants add an apex adjacent to the required end
-nodes.
+when H is planar; crossing nodes are expanded into 4-wheel gadgets so that
+a planar embedding cannot cheat with a touching (u,u,v,v) rotation. Only
+`build_H` and `decide_fixed` offer the plain diagram as the decision
+(`gadgets=False`), which over-accepts; searches always use gadgets.
+Outer-string variants add an apex adjacent to the required end nodes.
+
+`build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`: the
+plain and the gadget diagram of a plane graph in one outer mode, laid out
+once as static edges plus one edge tuple per (vertex, break, end bit).
 
 Enumeration walks the mixed-radix space of all break vectors (times the
 end choices in one-end mode), optionally in parallel over fixed-size chunks;
@@ -25,6 +30,7 @@ calls, shortcut attempts and shortcut hits, summed over the workers.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -67,86 +73,98 @@ class Verdict:
 
 
 class _Task:
-    """Precomputed edge tables: H(breaks) = static edges + one cached list
-    per (vertex, break digit)."""
+    """A plane graph's plain and gadget diagram in one outer mode, each a
+    triple (node count, static edges, rows) with H(breaks, ends) = static
+    edges + rows[v][breaks[v]][ends[v]] over the vertices v.
 
-    def __init__(self, pg: PlaneGraph, gadgets: bool):
+    Vertex v's curve runs from node 2v to node 2v+1. The two diagrams differ
+    only in their port rule: crossing i (edge i) is node 2n+i, or a 4-wheel
+    with hub 2n+5i whose rim the curve of v enters and leaves at nodes 1 and
+    3 (v < w) or 2 and 4 (v > w) past the hub. An outer mode puts an apex
+    after a diagram's last node, joined to both ends of every curve by static
+    edges, or in one-end mode to the end that each vertex's end bit picks;
+    other modes ignore the end bits."""
+
+    def __init__(self, pg: PlaneGraph, mode):
+        mode = _norm_mode(mode)
         g, rot = pg.graph, pg.rot
         rot.validate(g)
-        n = g.n
-        m = g.edge_count
+        n, m = g.n, g.edge_count
         self.n = n
-        self.gadgets = gadgets
+        self.degrees = [max(1, g.degree(v)) for v in range(n)]
+        self.one_end = mode == ONE_END
+        # end bits are the least significant digits of an index, then the
+        # vertices, the highest degree most significant
+        self.end_radix = 1 << n if self.one_end else 1
+        self.digits = sorted(range(n), key=lambda v: (-self.degrees[v], v))[::-1]
+        self.total = math.prod(self.degrees) * self.end_radix
         eid = {}
         for i, (u, v) in enumerate(g.edges):
-            eid[(u, v)] = i
-            eid[(v, u)] = i
-        if gadgets:
-            base = 2 * n
-            self.node_count = 2 * n + 5 * m
-            static = []
-            for i in range(m):
-                hub = base + 5 * i
-                r = [hub + 1, hub + 2, hub + 3, hub + 4]
-                static += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
-                static += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
-            self.static = static
-
-            def enter_exit(v: int, w: int) -> tuple[int, int]:
-                i = eid[(v, w)]
-                hub = base + 5 * i
-                if v < w:
-                    return hub + 1, hub + 3
-                return hub + 2, hub + 4
-
-        else:
-            base = 2 * n
-            self.node_count = 2 * n + m
-            self.static = []
-
-            def enter_exit(v: int, w: int) -> tuple[int, int]:
-                c = base + eid[(v, w)]
-                return c, c
-
-        self.tables: list[list[tuple[tuple[int, int], ...]]] = []
+            eid[(u, v)] = eid[(v, u)] = i
+        base = 2 * n
+        wheels = []
+        for hub in range(base, base + 5 * m, 5):
+            r = [hub + 1, hub + 2, hub + 3, hub + 4]
+            wheels += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
+            wheels += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
+        plain_rows, gadget_rows = [], []
         for v in range(n):
-            per_digit = []
-            deg = g.degree(v)
-            if deg == 0:
-                per_digit.append(((2 * v, 2 * v + 1),))
-            else:
-                cyc = rot.order[v]
-                for b in range(deg):
-                    lin = cyc[b:] + cyc[:b]
-                    path = []
-                    prev = 2 * v
-                    for w in lin:
-                        ein, eout = enter_exit(v, w)
-                        path.append((prev, ein))
-                        prev = eout
-                    path.append((prev, 2 * v + 1))
-                    per_digit.append(tuple(path))
-            self.tables.append(per_digit)
-        self.degrees = [max(1, g.degree(v)) for v in range(n)]
-        self.apex = self.node_count  # used only with an outer mode
+            cyc = rot.order[v]
+            plain_rows.append([])
+            gadget_rows.append([])
+            for lin in [cyc[b:] + cyc[:b] for b in range(len(cyc))] or [()]:
+                plain, gadget = [], []
+                p = q = 2 * v
+                for w in lin:
+                    i = eid[(v, w)]
+                    rim = base + 5 * i + (1 if v < w else 2)
+                    plain.append((p, base + i))
+                    gadget.append((q, rim))
+                    p, q = base + i, rim + 2
+                plain.append((p, 2 * v + 1))
+                gadget.append((q, 2 * v + 1))
+                plain_rows[v].append(tuple(plain))
+                gadget_rows[v].append(tuple(gadget))
+        self.plain = self._diagram(base + m, [], plain_rows, mode)
+        self.gadget = self._diagram(base + 5 * m, wheels, gadget_rows, mode)
 
-    def edges_for(self, breaks, mode, ends) -> list[tuple[int, int]]:
-        edges = list(self.static)
-        for v in range(self.n):
-            edges += self.tables[v][breaks[v]]
+    def _diagram(self, nodes, static, rows, mode):
+        """(node count, static edges, rows[v][break][end bit]) of one
+        diagram, with the apex of an outer mode as node `nodes`."""
+        a = nodes
+        tips = [((), ())] * self.n
         if mode == BOTH_ENDS:
-            a = self.apex
-            for v in range(self.n):
-                edges.append((a, 2 * v))
-                edges.append((a, 2 * v + 1))
+            static = static + [(a, t) for t in range(2 * self.n)]
         elif mode == ONE_END:
-            a = self.apex
-            for v in range(self.n):
-                edges.append((a, 2 * v + ends[v]))
-        return edges
+            tips = [(((a, 2 * v),), ((a, 2 * v + 1),)) for v in range(self.n)]
+        rows = [[(p + tip[0], p + tip[1]) for p in row] for row, tip in zip(rows, tips)]
+        return nodes + (mode is not None), tuple(static), rows
 
-    def nodes_for(self, mode) -> int:
-        return self.node_count + (1 if mode in (BOTH_ENDS, ONE_END) else 0)
+    @staticmethod
+    def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
+        """(node count, edge list) of one diagram for one vector."""
+        nodes, static, rows = diagram
+        edges = list(static)
+        for row, b, e in zip(rows, breaks, ends):
+            edges += row[b][e]
+        return nodes, edges
+
+    def check(self, breaks, ends) -> None:
+        if len(breaks) != self.n or len(ends) != self.n:
+            raise InvalidBreak("break or end vector has wrong length")
+        for v in range(self.n):
+            if not (0 <= breaks[v] < self.degrees[v]):
+                raise InvalidBreak(f"break {breaks[v]} out of range at vertex {v}")
+            if ends[v] not in (0, 1):
+                raise InvalidBreak(f"end {ends[v]} is not 0 or 1 at vertex {v}")
+
+    def decode(self, idx: int) -> tuple[list[int], list[int]]:
+        """The break vector and the end bits (bit v for vertex v) of index idx."""
+        idx, bits = divmod(idx, self.end_radix)
+        breaks = [0] * self.n
+        for v in self.digits:
+            idx, breaks[v] = divmod(idx, self.degrees[v])
+        return breaks, [(bits >> v) & 1 for v in range(self.n)]
 
 
 def _norm_mode(outer_mode) -> str | None:
@@ -159,21 +177,12 @@ def _norm_mode(outer_mode) -> str | None:
 
 def build_H(pg: PlaneGraph, breaks, gadgets: bool = True) -> AbstractDiagram:
     """Abstract diagram for one break vector."""
-    _check_breaks(pg, breaks)
-    t = _Task(pg, gadgets)
-    edges = t.edges_for(list(breaks), None, None)
-    ends = tuple((2 * v, 2 * v + 1) for v in range(pg.graph.n))
-    return AbstractDiagram(t.node_count, tuple(edges), gadgets, ends)
-
-
-def _check_breaks(pg: PlaneGraph, breaks) -> None:
-    g = pg.graph
-    if len(breaks) != g.n:
-        raise InvalidBreak("break vector has wrong length")
-    for v in range(g.n):
-        deg = max(1, g.degree(v))
-        if not (0 <= breaks[v] < deg):
-            raise InvalidBreak(f"break {breaks[v]} out of range at vertex {v}")
+    t = _Task(pg, None)
+    ends = [0] * t.n
+    t.check(breaks, ends)
+    nodes, edges = t.edges(t.gadget if gadgets else t.plain, breaks, ends)
+    tips = tuple((2 * v, 2 * v + 1) for v in range(t.n))
+    return AbstractDiagram(nodes, tuple(edges), gadgets, tips)
 
 
 def decide_fixed(
@@ -184,14 +193,14 @@ def decide_fixed(
     gadgets: bool = True,
 ) -> bool:
     """Planarity of the (gadgetized) diagram, plus an apex in outer modes."""
-    mode = _norm_mode(outer_mode)
-    _check_breaks(pg, breaks)
-    if mode == ONE_END and end_choice is None:
+    t = _Task(pg, outer_mode)
+    if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
-    breaks = list(breaks)
-    ends = list(end_choice) if end_choice is not None else None
-    plain = _Task(pg, False) if gadgets else None
-    return _realizable(_Task(pg, gadgets), plain, _Shortcut(), breaks, mode, ends)
+    ends = [0] * t.n if end_choice is None else list(end_choice)
+    t.check(breaks, ends)
+    if not gadgets:
+        return is_planar_edges(*t.edges(t.plain, breaks, ends))
+    return _realizable(t, _Shortcut(), breaks, ends)
 
 
 COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits")
@@ -207,65 +216,45 @@ class _Shortcut:
     counts: list = field(default_factory=lambda: [0, 0, 0])
 
 
-def _realizable(task: _Task, plain: _Task | None, sc: _Shortcut, breaks, mode, ends) -> bool:
-    """Planarity of `task`'s diagram for one vector. The plain diagram `plain`
-    is tested first unless the back-off in `sc` skips it."""
+def _realizable(task: _Task, sc: _Shortcut, breaks, ends) -> bool:
+    """Planarity of the gadget diagram for one vector. The plain diagram is
+    tested first unless the back-off in `sc` skips it."""
     counts = sc.counts
-    if plain is not None:
-        if sc.skip:
-            sc.skip -= 1
-        else:
-            counts[0] += 1
-            counts[1] += 1
-            if not is_planar_edges(plain.nodes_for(mode), plain.edges_for(breaks, mode, ends)):
-                counts[2] += 1
-                sc.gap = 0
-                return False
-            sc.gap = sc.skip = sc.gap + 2
+    if sc.skip:
+        sc.skip -= 1
+    else:
+        counts[0] += 1
+        counts[1] += 1
+        if not is_planar_edges(*task.edges(task.plain, breaks, ends)):
+            counts[2] += 1
+            sc.gap = 0
+            return False
+        sc.gap = sc.skip = sc.gap + 2
     counts[0] += 1
-    return is_planar_edges(task.nodes_for(mode), task.edges_for(breaks, mode, ends))
+    return is_planar_edges(*task.edges(task.gadget, breaks, ends))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-_WORKER: dict = {}
+_SEARCH: tuple = ()  # (task, shortcut, indices, stop flag) of this worker's search
 
 
-def _decode(task: _Task, digit_vertices, idx: int, mode: str | None):
-    n = task.n
-    if mode == ONE_END:
-        idx, end_bits = divmod(idx, 1 << n)
-        ends = [(end_bits >> v) & 1 for v in range(n)]
-    else:
-        ends = None
-    breaks = [0] * n
-    for v in reversed(digit_vertices):
-        idx, breaks[v] = divmod(idx, task.degrees[v])
-    return breaks, ends
-
-
-def _scan_range(args):
-    """The first realizable index in [lo, hi), or None, and the counts of
-    this range; the back-off carries over from the worker's previous range.
-    A set `stop` flag ends the scan: the search already has its result."""
-    lo, hi = args
-    task: _Task = _WORKER["task"]
-    plain: _Task | None = _WORKER["plain"]
-    sc: _Shortcut = _WORKER["shortcut"]
-    dv = _WORKER["digit_vertices"]
-    mode = _WORKER["mode"]
-    samples = _WORKER["samples"]
-    stop = _WORKER["stop"]
+def _scan_range(bounds):
+    """The first realizable position in [lo, hi) of the search's indices, or
+    None, and the counts of this range; the back-off carries over from the
+    worker's previous range. A set stop flag ends the scan: the search
+    already has its result."""
+    lo, hi = bounds
+    task, sc, indices, stop = _SEARCH
     sc.counts = [0, 0, 0]
     for i in range(lo, hi):
         if stop is not None and stop.value:
             break
-        idx = samples[i] if samples is not None else i
-        breaks, ends = _decode(task, dv, idx, mode)
-        if _realizable(task, plain, sc, breaks, mode, ends):
-            return (i, tuple(breaks), tuple(ends) if ends else None), sc.counts
+        breaks, ends = task.decode(indices[i])
+        if _realizable(task, sc, breaks, ends):
+            return (i, tuple(breaks), tuple(ends) if task.one_end else None), sc.counts
     return None, sc.counts
 
 
@@ -280,8 +269,9 @@ def _first_hit(results):
     return None, counts
 
 
-def _init_worker(payload):
-    _WORKER.update(payload)
+def _init_worker(search: tuple) -> None:
+    global _SEARCH
+    _SEARCH = search
 
 
 def enumerate_breaks(
@@ -290,7 +280,6 @@ def enumerate_breaks(
     budget: int | None = None,
     jobs: int = 1,
     seed: int = 0,
-    gadgets: bool = True,
     chunk: int = 2048,
     limit: int | None = None,
 ) -> Verdict:
@@ -304,54 +293,36 @@ def enumerate_breaks(
         raise StrandkitError(f"chunk must be at least 1, got {chunk}")
     if limit is not None and limit < 1:
         raise StrandkitError(f"limit must be at least 1, got {limit}")
-    mode = _norm_mode(outer_mode)
-    g = pg.graph
-    task = _Task(pg, gadgets)
-    plain = _Task(pg, False) if gadgets else None
-    # most significant digit = highest degree
-    digit_vertices = sorted(range(g.n), key=lambda v: (-task.degrees[v], v))
-    total = 1
-    for v in range(g.n):
-        total *= task.degrees[v]
-    if mode == ONE_END:
-        total *= 1 << g.n
+    task = _Task(pg, outer_mode)
+    total = task.total
 
     t0 = time.perf_counter()
-    samples = None
     if budget is not None:
         if budget <= 0:
             raise BudgetZero("sample budget must be positive")
         rng = random.Random(seed)
-        samples = [rng.randrange(total) for _ in range(budget)]
+        indices = [rng.randrange(total) for _ in range(budget)]
         span = budget
     else:
         span = total if limit is None else min(limit, total)
-
-    payload = {
-        "task": task,
-        "plain": plain,
-        "shortcut": _Shortcut(),
-        "digit_vertices": digit_vertices,
-        "mode": mode,
-        "samples": samples,
-        "stop": None,
-    }
+        indices = range(span)
     ranges = [(lo, min(lo + chunk, span)) for lo in range(0, span, chunk)]
 
     if jobs <= 1 or len(ranges) <= 1:
-        _init_worker(payload)
+        _init_worker((task, _Shortcut(), indices, None))
         hit, counts = _first_hit(map(_scan_range, ranges))
     else:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        payload["stop"] = ctx.RawValue("b", 0)
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(payload,)) as pool:
+        stop = ctx.RawValue("b", 0)
+        search = (task, _Shortcut(), indices, stop)
+        with ctx.Pool(jobs, initializer=_init_worker, initargs=(search,)) as pool:
             hit, counts = _first_hit(pool.imap(_scan_range, ranges))
             # Let the ranges after the hit return at once and the workers
             # exit. Terminating busy workers can kill one while it holds the
             # result queue's lock, and Pool.terminate then hangs.
-            payload["stop"].value = 1
+            stop.value = 1
             pool.close()
             pool.join()
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -21,7 +21,6 @@ that edits S).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,7 +287,7 @@ def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> Vpg
     diag_rep = StringRep(
         {v: Curve(v, tuple(b.curves[v])) for v in range(g.n)}, PolylineWitness(tuple(b.S))
     )
-    rep, grid = compact_grid(rotate45(diag_rep, scale_to_integers=False))
+    rep, grid = compact_grid(rotate45(diag_rep))
     return VpgBuild(
         rep, diag_rep, breaks, plane, super_plane, super_breaks, grid,
         tuple(b.regions.values()), tuple(traces),
@@ -300,9 +299,8 @@ def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> Vpg
 # ---------------------------------------------------------------------------
 
 
-def rotate45(rep: StringRep, scale_to_integers: bool = True) -> StringRep:
-    """(x, y) -> (x+y, y-x): slope +-1 segments become axis-parallel. With
-    scale_to_integers the result is scaled by the common denominator."""
+def rotate45(rep: StringRep) -> StringRep:
+    """(x, y) -> (x+y, y-x): slope +-1 segments become axis-parallel."""
     for v, c in rep.curves.items():
         for p, q in c.segments:
             dx, dy = q[0] - p[0], q[1] - p[1]
@@ -319,19 +317,6 @@ def rotate45(rep: StringRep, scale_to_integers: bool = True) -> StringRep:
     elif wit is not None:
         # the map scales by sqrt(2): a circle stays a circle
         wit = CircleWitness(f(wit.center), 2 * wit.radius2)
-    if scale_to_integers:
-        den = 1
-        pools = [p for c in curves.values() for p in c.points]
-        if isinstance(wit, PolylineWitness):
-            pools += list(wit.points)
-        for p in pools:
-            den = math.lcm(den, p[0].denominator, p[1].denominator)
-        curves = {
-            v: Curve(v, tuple((p[0] * den, p[1] * den) for p in c.points))
-            for v, c in curves.items()
-        }
-        if isinstance(wit, PolylineWitness):
-            wit = PolylineWitness(tuple((p[0] * den, p[1] * den) for p in wit.points))
     return StringRep(curves, wit)
 
 

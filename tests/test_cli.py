@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
+import re
 
 import pytest
 
-from strandkit.cli import main
+from strandkit.cli import _parser, main
 
 
 def run(tmp_path, *argv):
@@ -86,7 +88,7 @@ def test_malformed_input_exit_code(tmp_path, case, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--chunk", "0"], ["--limit", "-3"], ["--limit", "0"]])
+@pytest.mark.parametrize("flag", [["--limit", "-3"], ["--limit", "0"]])
 def test_oracle_bad_chunk_or_limit(tmp_path, flag, capsys):
     g = tmp_path / "g.txt"
     g.write_text("0 1\n1 2\n2 0\n")
@@ -94,6 +96,83 @@ def test_oracle_bad_chunk_or_limit(tmp_path, flag, capsys):
     assert main(["--manifest", str(mf), "oracle", str(g), *flag]) == 2
     assert json.loads(mf.read_text())["exit_code"] == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--no-gadgets"], ["oracle", "--chunk", "4"],
+                                  ["repro", "thm6", "--limit", "9", "--chunk", "4"]])
+def test_removed_search_flags(tmp_path, argv):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    if argv[0] == "oracle":
+        argv = argv[:1] + [str(g)] + argv[1:]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_input_exit_code(tmp_path, case, capsys):
+    path = tmp_path / "g.txt"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe 0 1\n")
+    mf = tmp_path / "m.json"
+    assert main(["--manifest", str(mf), "build", "circle", str(path)]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    out = tmp_path / "missing" / "rep.json"
+    assert main(["build", "circle", str(g), "--out", str(out)]) == 2
+    # the manifest cannot go next to --out either, so it goes to stderr
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: ") and json.loads(err[-1])["exit_code"] == 2
+
+
+def test_bad_jobs_environment_exit_code(tmp_path, monkeypatch):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    monkeypatch.setenv("STRANDKIT_JOBS", "abc")
+    assert main(["oracle", str(g)]) == 2
+    assert main(["repro", "sec5-k23"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["gen", "partial-2tree", "--density", "nan"],
+                                  ["gen", "partial-2tree", "--density", "1.5"],
+                                  ["repro", "lem2", "--density", "nan"]])
+def test_density_out_of_range(tmp_path, argv, capsys):
+    mf = tmp_path / "m.json"
+    assert main(["--manifest", str(mf), *argv, "--out", str(tmp_path / "x.json")]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "density" in capsys.readouterr().err
+
+
+def test_readme_cli_block_lists_every_flag():
+    # each "strandkit <command>" entry of README's CLI block, with its
+    # continuation lines, names exactly the flags of that subcommand; the
+    # entry "strandkit [--manifest ...] <command>" names the global ones
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    listed: dict[str, set] = {}
+    for line in block.strip().splitlines():
+        line = line.split("#")[0]
+        if line.startswith("strandkit "):
+            cmd = line.split()[1]
+            cmd = "" if cmd[0] in "[<" else cmd
+            listed[cmd] = set()
+        listed[cmd] |= set(re.findall(r"--[a-z][a-z-]*", line))
+
+    def flags(parser):
+        return {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {
+            "--help"}
+
+    p = _parser()
+    sub = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+    want = {"": flags(p)} | {name: flags(sp) for name, sp in sub.choices.items()}
+    assert listed == want
 
 
 def test_oracle_counters_in_manifest(tmp_path):

@@ -108,7 +108,7 @@ def test_rotate45_and_compaction_preserve_crossings():
     g = random_maximal_outerplanar(9, seed=2).graph
     b = build_vpg(g)
     before = crossing_profile(b.diag_rep)
-    rotated = rotate45(b.diag_rep, scale_to_integers=False)
+    rotated = rotate45(b.diag_rep)
     after = crossing_profile(rotated)
     assert before.pair_counts == after.pair_counts
     compacted, _grid = compact_grid(rotated)
