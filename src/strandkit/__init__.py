@@ -23,7 +23,6 @@ from .geom import (
 from .graphs import (
     EarDecomposition,
     EliminationOrder,
-    FaceSet,
     Graph,
     PlaneGraph,
     RotationScheme,
@@ -31,7 +30,6 @@ from .graphs import (
     ear_decomposition,
     euler_check,
     faces,
-    is_biconnected,
     is_outerplanar,
     is_planar,
     two_tree_completion,

@@ -69,10 +69,6 @@ class CircleBuild:
     diagram: ChordDiagram
     breaks: dict[int, int]
     plane: PlaneGraph
-    super_plane: PlaneGraph
-    super_diagram: ChordDiagram
-    super_breaks: dict[int, int]
-    regions: tuple[ArcRegion, ...]
     trace: tuple[dict, ...] = ()
 
 
@@ -142,7 +138,7 @@ def chord_to_geometry(diagram: ChordDiagram) -> StringRep:
 
 def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> CircleBuild:
     """Theorem-3 style construction for any connected outer-planar graph."""
-    g2, _inj = biconnect_outerplanar(g)
+    g2 = biconnect_outerplanar(g)
     ok, rot2, ofi = is_outerplanar(g2)
     assert ok
     dec = ear_decomposition(g2, rot2, outer_face_index=ofi)
@@ -185,23 +181,12 @@ def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> 
         step_done()
 
     # drop the augmentation chords and restrict the rotation and breaks to g
-    super_diag = ChordDiagram(dict(params))
-    super_plane = PlaneGraph(g2, rot2)
-    super_breaks, plane, breaks = restrict_breaks(g, super_plane, regions)
+    plane, breaks = restrict_breaks(g, rot2, regions)
     diagram = ChordDiagram({v: params[v] for v in range(g.n)})
     ts = diagram.all_params()
     if len(set(ts)) != len(ts):
         raise ParameterCollision("internal: parameter collision")
-    return CircleBuild(
-        diagram,
-        breaks,
-        plane,
-        super_plane,
-        super_diag,
-        super_breaks,
-        tuple(regions.values()),
-        tuple(traces),
-    )
+    return CircleBuild(diagram, breaks, plane, tuple(traces))
 
 
 def _snapshot(params, regions) -> dict:

@@ -26,10 +26,6 @@ class NotBiconnected(StrandkitError):
     pass
 
 
-class RootNotOnOuterFace(StrandkitError):
-    pass
-
-
 class NotPartialTwoTree(StrandkitError):
     pass
 

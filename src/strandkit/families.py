@@ -79,11 +79,10 @@ def _insert_into_face(
 def stellate(pg: PlaneGraph) -> PlaneGraph:
     """Insert one new vertex into every face, adjacent to all its vertices."""
     g, rot = pg.graph, pg.rot
-    fs = faces(g, rot)
     order = [list(r) for r in rot.order]
     edges = list(g.edges)
     nxt = g.n
-    for f in fs.faces:
+    for f in faces(g, rot):
         _insert_into_face(order, f, nxt)
         for a, _b in f:
             edges.append((a, nxt))
@@ -124,7 +123,7 @@ def random_planar_3tree(n: int, seed: int = 0) -> PlaneGraph:
     rot = RotationScheme(_K4_ORDER)
     for v in range(4, n):
         fs = faces(g, rot)
-        f = fs.faces[rng.randrange(len(fs))]
+        f = fs[rng.randrange(len(fs))]
         order = [list(r) for r in rot.order]
         _insert_into_face(order, f, v)
         edges = list(g.edges) + [(a, v) for a, _b in f]

@@ -6,6 +6,10 @@ Conventions: rotations are read as CLOCKWISE cyclic neighbor orders. Faces are
 traced with the next-edge rule  next(u,v) = (v, successor of u in rot[v]),
 under which the outer face of an outer-plane graph is the directed walk whose
 edges (u,v) have u as the counterclockwise outer neighbor of v.
+
+2-connectivity is read off that outer walk: a connected outer-plane graph
+with n >= 2 is 2-connected (K_2 included) iff the walk has exactly n edges,
+i.e. it visits every vertex once. A longer walk repeats a cut vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .errors import (
     NotBiconnected,
     NotOuterplanar,
     NotPartialTwoTree,
-    RootNotOnOuterFace,
 )
 from . import planarity
 
@@ -127,19 +130,9 @@ class PlaneGraph:
     rot: RotationScheme
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    def face_vertices(self, i: int) -> tuple[int, ...]:
-        return tuple(u for (u, _v) in self.faces[i])
-
-
-def faces(g: Graph, rot: RotationScheme) -> FaceSet:
-    """All faces of the rotation scheme by next-edge traversal."""
+def faces(g: Graph, rot: RotationScheme) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All faces of the rotation scheme by next-edge traversal, each the
+    cyclic tuple of its directed edges."""
     rot.validate(g)
     out: list[tuple[tuple[int, int], ...]] = []
     seen: set[tuple[int, int]] = set()
@@ -159,7 +152,7 @@ def faces(g: Graph, rot: RotationScheme) -> FaceSet:
                 if (cu, cv) == start:
                     break
             out.append(tuple(face))
-    return FaceSet(tuple(out))
+    return tuple(out)
 
 
 def euler_check(g: Graph, rot: RotationScheme) -> bool:
@@ -194,59 +187,15 @@ def is_outerplanar(g: Graph) -> tuple[bool, RotationScheme | None, int | None]:
     if rot_full is None:
         return False, None, None
     rot = RotationScheme([[w for w in rot_full[v] if w != n] for v in range(n)])
-    fs = faces(g, rot)
-    for i in range(len(fs)):
-        if len(set(fs.face_vertices(i))) == n:
+    for i, f in enumerate(faces(g, rot)):
+        if len({u for u, _v in f}) == n:
             return True, rot, i
     raise AssertionError("apex embedding lost the outer face")
 
 
-def is_biconnected(g: Graph) -> bool:
-    """2-connected; K_2 counts (it is the ear-induction base case)."""
-    if g.n < 2 or not g.is_connected():
-        return False
-    if g.n == 2:
-        return g.edge_count == 1
-    # iterative articulation-point detection
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    timer = 0
-    root_children = 0
-    stack: list[list[int]] = [[0, 0]]
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        fr = stack[-1]
-        v, i = fr
-        if i < len(g.adj[v]):
-            fr[1] = i + 1
-            w = g.adj[v][i]
-            if disc[w] == -1:
-                parent[w] = v
-                if v == 0:
-                    root_children += 1
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append([w, 0])
-            elif w != parent[v]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                p = parent[v]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    return False
-    if timer != g.n:
-        return False
-    return root_children <= 1
-
-
-def biconnect_outerplanar(g: Graph) -> tuple[Graph, list[int]]:
-    """2-connected outer-planar supergraph containing g as an INDUCED subgraph.
+def biconnect_outerplanar(g: Graph) -> Graph:
+    """2-connected outer-planar supergraph containing g as an INDUCED subgraph
+    on the same vertex ids 0..g.n-1; g itself when it is 2-connected.
 
     Augmentation adds new vertices only (one per missing hop between
     consecutive first occurrences along the outer face walk), never edges
@@ -256,13 +205,13 @@ def biconnect_outerplanar(g: Graph) -> tuple[Graph, list[int]]:
     if not g.is_connected():
         raise GraphNotConnected("biconnect_outerplanar expects a connected graph")
     if g.n == 1:
-        return Graph(2, [(0, 1)]), [0]
+        return Graph(2, [(0, 1)])
     ok, rot, ofi = is_outerplanar(g)
     if not ok:
         raise NotOuterplanar("input graph is not outer-planar")
-    if is_biconnected(g):
-        return g, list(range(g.n))
-    walk = faces(g, rot).faces[ofi]
+    walk = faces(g, rot)[ofi]
+    if len(walk) == g.n:
+        return g
     first_seen: list[int] = []
     seen: set[int] = set()
     for u, _v in walk:
@@ -278,10 +227,7 @@ def biconnect_outerplanar(g: Graph) -> tuple[Graph, list[int]]:
             edges.append((a, next_id))
             edges.append((next_id, b))
             next_id += 1
-    out = Graph(next_id, edges)
-    if not is_biconnected(out):
-        raise AssertionError("augmentation failed to biconnect")
-    return out, list(range(g.n))
+    return Graph(next_id, edges)
 
 
 @dataclass(frozen=True)
@@ -294,33 +240,24 @@ class EarDecomposition:
 
 
 def ear_decomposition(
-    g: Graph,
-    rot: RotationScheme,
-    root: tuple[int, int] | None = None,
-    outer_face_index: int | None = None,
+    g: Graph, rot: RotationScheme, outer_face_index: int
 ) -> EarDecomposition:
     """Ears from the weak dual tree of inner faces, rooted at the face beside
-    the root edge, emitted in DFS order."""
-    if not is_biconnected(g):
-        raise NotBiconnected("ear decomposition needs a 2-connected graph (or K_2)")
+    the smallest outer edge, emitted in DFS order.
+
+    `outer_face_index` names the face of `faces(g, rot)` that holds every
+    vertex, as `is_outerplanar` returns it; g is 2-connected iff that walk
+    has exactly g.n edges."""
     fs = faces(g, rot)
-    if outer_face_index is None:
-        cands = [i for i in range(len(fs)) if len(set(fs.face_vertices(i))) == g.n]
-        if not cands:
-            raise NotOuterplanar("no face contains every vertex")
-        outer_face_index = cands[0]
-    outer = fs.faces[outer_face_index]
-    outer_undirected = {(min(u, v), max(u, v)) for (u, v) in outer}
-    if root is None:
-        root = min(outer_undirected)
-    rkey = (min(root), max(root))
-    if rkey not in outer_undirected:
-        raise RootNotOnOuterFace(f"root edge {root} is not on the outer face")
+    outer = fs[outer_face_index] if fs else ()
+    if len(outer) != g.n or len({u for u, _v in outer}) != g.n:
+        raise NotBiconnected("ear decomposition needs a 2-connected graph (or K_2)")
+    rkey = min((min(u, v), max(u, v)) for (u, v) in outer)
     if g.n == 2:
         return EarDecomposition(rkey, ())
 
     edge_faces: dict[tuple[int, int], list[int]] = {}
-    for i, f in enumerate(fs.faces):
+    for i, f in enumerate(fs):
         for u, v in f:
             edge_faces.setdefault((min(u, v), max(u, v)), []).append(i)
     root_face = next(i for i in edge_faces[rkey] if i != outer_face_index)
@@ -330,7 +267,7 @@ def ear_decomposition(
     stack: list[tuple[int, tuple[int, int]]] = [(root_face, rkey)]
     while stack:
         fi, attach = stack.pop()
-        cycle = fs.faces[fi]
+        cycle = fs[fi]
         # locate the directed copy of the attach edge inside this face
         k = next(
             j for j, (u, v) in enumerate(cycle) if (min(u, v), max(u, v)) == attach
@@ -351,28 +288,27 @@ def ear_decomposition(
 
 
 def restrict_breaks(
-    g: Graph, super_plane: PlaneGraph, outer_edges
-) -> tuple[dict[int, int], PlaneGraph, dict[int, int]]:
-    """Back end of an ear induction on the augmentation of g.
+    g: Graph, rot2: RotationScheme, outer_edges
+) -> tuple[PlaneGraph, dict[int, int]]:
+    """Back end of an ear induction on the augmentation of g, with rotation
+    `rot2`.
 
     `outer_edges` are the directed outer edges (u, v) of the finished super
     build; every super vertex u tails exactly one, and its curve breaks at v.
-    Returns the super breaks, g with the rotation induced from the super
-    rotation, and each break moved to the first original neighbor at or after
-    the super break (0 for a vertex without original neighbors)."""
-    rot2 = super_plane.rot
+    Returns g with the rotation induced from `rot2`, and each break moved to
+    the first original neighbor at or after the super break (0 for a vertex
+    without original neighbors)."""
     cw_nb = {u: v for u, v in outer_edges}
-    super_breaks = {v: rot2.position(v, cw_nb[v]) for v in range(super_plane.graph.n)}
     order = []
     breaks = {}
     for v in range(g.n):
         full = rot2.order[v]
         induced = tuple(w for w in full if w < g.n)
         order.append(induced)
-        bpos = super_breaks[v]
+        bpos = rot2.position(v, cw_nb[v])
         first = next((w for w in full[bpos:] + full[:bpos] if w < g.n), None)
         breaks[v] = 0 if first is None else induced.index(first)
-    return super_breaks, PlaneGraph(g, RotationScheme(order)), breaks
+    return PlaneGraph(g, RotationScheme(order)), breaks
 
 
 def ear_layout(lo, a, b, hi, k: int):

@@ -258,6 +258,16 @@ def _scan_range(bounds):
     return None, sc.counts
 
 
+def _ranges(span: int, chunk: int, stop=None):
+    """The chunks [lo, hi) of range(span), made only as they are taken: an
+    exhaustive space can have far more chunks than memory holds. A set stop
+    flag ends them, so that closing the pool does not drain the rest."""
+    for lo in range(0, span, chunk):
+        if stop is not None and stop.value:
+            return
+        yield lo, min(lo + chunk, span)
+
+
 def _first_hit(results):
     """The first hit among the range results, taken in range order, and the
     counts summed up to it."""
@@ -286,13 +296,16 @@ def enumerate_breaks(
     """Search the break-vector space.
 
     budget=None scans indices in canonical mixed-radix order (exhaustive, or
-    the first `limit` of them); budget=N draws N seeded uniform samples.
-    The verdict (including the witness) does not depend on `jobs`.
+    the first `limit` of them); budget=N draws N seeded uniform samples, and
+    excludes `limit`. The verdict (including the witness) does not depend on
+    `jobs`.
     """
     if chunk < 1:
         raise StrandkitError(f"chunk must be at least 1, got {chunk}")
     if limit is not None and limit < 1:
         raise StrandkitError(f"limit must be at least 1, got {limit}")
+    if budget is not None and limit is not None:
+        raise StrandkitError("a sample budget and a limit exclude each other")
     task = _Task(pg, outer_mode)
     total = task.total
 
@@ -306,11 +319,10 @@ def enumerate_breaks(
     else:
         span = total if limit is None else min(limit, total)
         indices = range(span)
-    ranges = [(lo, min(lo + chunk, span)) for lo in range(0, span, chunk)]
 
-    if jobs <= 1 or len(ranges) <= 1:
+    if jobs <= 1 or span <= chunk:
         _init_worker((task, _Shortcut(), indices, None))
-        hit, counts = _first_hit(map(_scan_range, ranges))
+        hit, counts = _first_hit(map(_scan_range, _ranges(span, chunk)))
     else:
         import multiprocessing as mp
 
@@ -318,7 +330,7 @@ def enumerate_breaks(
         stop = ctx.RawValue("b", 0)
         search = (task, _Shortcut(), indices, stop)
         with ctx.Pool(jobs, initializer=_init_worker, initargs=(search,)) as pool:
-            hit, counts = _first_hit(pool.imap(_scan_range, ranges))
+            hit, counts = _first_hit(pool.imap(_scan_range, _ranges(span, chunk, stop)))
             # Let the ranges after the hit return at once and the workers
             # exit. Terminating busy workers can kill one while it holds the
             # result queue's lock, and Pool.terminate then hangs.

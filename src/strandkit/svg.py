@@ -7,6 +7,13 @@ from fractions import Fraction
 
 from .geom import CircleWitness, CrossingProfile, PolylineWitness, StringRep
 
+_SIZE = 800  # width and height of the square canvas, in px
+_MARGIN = 40  # blank border kept around the drawing, in px
+_OPEN = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+    f'viewBox="0 0 {_SIZE} {_SIZE}">'
+)
+
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
@@ -15,13 +22,11 @@ _PALETTE = (
 
 def emit_svg(
     rep: StringRep,
-    size: int = 800,
-    margin: int = 40,
-    show_labels: bool = True,
     profile: CrossingProfile | None = None,
     overlays: list[tuple[str, list[tuple[Fraction, Fraction]]]] | None = None,
 ) -> str:
-    """Curves, witness, optional crossing markers and region overlays.
+    """Curves with their vertex labels, witness, optional crossing markers
+    and region overlays.
 
     Output is byte-identical for equal inputs.
     """
@@ -39,31 +44,25 @@ def emit_svg(
         pts += [(float(p[0]), float(p[1])) for p in poly]
 
     if not pts:
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}"></svg>\n'
-        )
+        return _OPEN + "</svg>\n"
     x0 = min(p[0] for p in pts)
     x1 = max(p[0] for p in pts)
     y0 = min(p[1] for p in pts)
     y1 = max(p[1] for p in pts)
     span = max(x1 - x0, y1 - y0, 1e-9)
-    scale = (size - 2 * margin) / span
+    scale = (_SIZE - 2 * _MARGIN) / span
 
     def T(p) -> tuple[float, float]:
         # flip y so the mathematical orientation reads normally on screen
         return (
-            margin + (float(p[0]) - x0) * scale,
-            size - margin - (float(p[1]) - y0) * scale,
+            _MARGIN + (float(p[0]) - x0) * scale,
+            _SIZE - _MARGIN - (float(p[1]) - y0) * scale,
         )
 
     def fmt(v: float) -> str:
         return f"{v:.3f}"
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
-    ]
+    out = [_OPEN]
     if isinstance(w, CircleWitness):
         cx, cy = T(w.center)
         rr = math.sqrt(float(w.radius2)) * scale
@@ -87,12 +86,11 @@ def emit_svg(
         out.append(
             f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
-        if show_labels:
-            tx, ty = T(c.points[0])
-            out.append(
-                f'<text x="{fmt(tx)}" y="{fmt(ty - 4)}" font-size="11" '
-                f'fill="{color}">{v}</text>'
-            )
+        tx, ty = T(c.points[0])
+        out.append(
+            f'<text x="{fmt(tx)}" y="{fmt(ty - 4)}" font-size="11" '
+            f'fill="{color}">{v}</text>'
+        )
     if profile is not None:
         for pair in sorted(profile.points):
             for p in profile.points[pair]:

@@ -106,8 +106,6 @@ class VpgBuild:
     diag_rep: StringRep       # slope +-1 construction frame (exact rationals)
     breaks: dict[int, int]
     plane: PlaneGraph
-    super_plane: PlaneGraph
-    super_breaks: dict[int, int]
     grid: tuple[int, int]
     regions: tuple[TriRegion, ...]
     trace: tuple[dict, ...] = ()
@@ -253,7 +251,7 @@ def _case_conv_valley(b, frame, w, u, x, v, h, t):
 
 
 def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> VpgBuild:
-    g2, _inj = biconnect_outerplanar(g)
+    g2 = biconnect_outerplanar(g)
     ok, rot2, ofi = is_outerplanar(g2)
     assert ok
     dec = ear_decomposition(g2, rot2, outer_face_index=ofi)
@@ -282,15 +280,13 @@ def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> Vpg
         step_done()
 
     # drop the augmentation curves and restrict the rotation and breaks to g
-    super_plane = PlaneGraph(g2, rot2)
-    super_breaks, plane, breaks = restrict_breaks(g, super_plane, b.regions)
+    plane, breaks = restrict_breaks(g, rot2, b.regions)
     diag_rep = StringRep(
         {v: Curve(v, tuple(b.curves[v])) for v in range(g.n)}, PolylineWitness(tuple(b.S))
     )
     rep, grid = compact_grid(rotate45(diag_rep))
     return VpgBuild(
-        rep, diag_rep, breaks, plane, super_plane, super_breaks, grid,
-        tuple(b.regions.values()), tuple(traces),
+        rep, diag_rep, breaks, plane, grid, tuple(b.regions.values()), tuple(traces)
     )
 
 

@@ -91,17 +91,9 @@ def test_per_ear_invariant_small(seed):
 
 
 def test_arc_regions_disjoint():
-    g = random_maximal_outerplanar(10, seed=3).graph
-    b = build_circle(g)
-    rs = sorted(b.regions, key=lambda r: r.lo)
-    for r1, r2 in zip(rs, rs[1:]):
-        assert r1.hi <= r2.lo
-    ts = {v: p for v, p in b.super_diagram.params.items()}
-    for r in rs:
-        inside = {
-            v for v, (t0, t1) in ts.items() if r.lo < t0 < r.hi or r.lo < t1 < r.hi
-        }
-        assert inside <= set(r.edge)
+    # the per-ear check asserts that the arc regions are pairwise disjoint
+    # and hold no foreign chord endpoints
+    build_circle(random_maximal_outerplanar(10, seed=3).graph, per_ear_check=True)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -88,7 +88,8 @@ def test_malformed_input_exit_code(tmp_path, case, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--limit", "-3"], ["--limit", "0"]])
+@pytest.mark.parametrize("flag", [["--limit", "-3"], ["--limit", "0"],
+                                  ["--samples", "50", "--limit", "3"]])
 def test_oracle_bad_chunk_or_limit(tmp_path, flag, capsys):
     g = tmp_path / "g.txt"
     g.write_text("0 1\n1 2\n2 0\n")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import networkx as nx
 import pytest
 
-from strandkit.errors import GraphNotConnected, NotPartialTwoTree, RootNotOnOuterFace
+from strandkit.errors import GraphNotConnected, NotBiconnected, NotPartialTwoTree
 from strandkit.families import random_maximal_outerplanar, random_planar_3tree
 from strandkit.graphs import (
     Graph,
@@ -16,7 +16,6 @@ from strandkit.graphs import (
     ear_layout,
     euler_check,
     faces,
-    is_biconnected,
     is_outerplanar,
     is_planar,
     replay_ears,
@@ -34,27 +33,25 @@ def cycle(n):
 def test_faces_triangle():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     ok, rot = is_planar(g)
-    fs = faces(g, rot)
-    assert sorted(len(f) for f in fs.faces) == [3, 3]
+    assert sorted(len(f) for f in faces(g, rot)) == [3, 3]
 
 
 def test_faces_single_edge():
     g = Graph(2, [(0, 1)])
-    fs = faces(g, RotationScheme([(1,), (0,)]))
-    assert [len(f) for f in fs.faces] == [2]
+    assert [len(f) for f in faces(g, RotationScheme([(1,), (0,)]))] == [2]
 
 
 def test_faces_planar_3tree_n6():
     pg = random_planar_3tree(6, seed=4)
     fs = faces(pg.graph, pg.rot)
     assert len(fs) == 2 * 6 - 4
-    assert all(len(f) == 3 for f in fs.faces)
+    assert all(len(f) == 3 for f in fs)
 
 
 def test_face_partition_property():
     for _n, _s, pg in [(0, 0, random_maximal_outerplanar(9, seed=3))]:
         fs = faces(pg.graph, pg.rot)
-        directed = [de for f in fs.faces for de in f]
+        directed = [de for f in fs for de in f]
         assert len(directed) == 2 * pg.graph.edge_count
         assert len(set(directed)) == len(directed)
 
@@ -78,8 +75,7 @@ def test_outerplanar_witness_has_outer_face():
     g = random_maximal_outerplanar(11, seed=6).graph
     ok, rot, ofi = is_outerplanar(g)
     assert ok and euler_check(g, rot)
-    fs = faces(g, rot)
-    assert len(set(fs.face_vertices(ofi))) == g.n
+    assert len({u for u, _v in faces(g, rot)[ofi]}) == g.n
 
 
 def test_outerplanarity_agrees_with_apex_planarity_atlas():
@@ -119,29 +115,27 @@ def test_outerplanarity_agrees_with_apex_planarity_n8_random():
 
 def test_biconnect_p3():
     g = Graph(3, [(0, 1), (1, 2)])
-    bg, inj = biconnect_outerplanar(g)
-    assert inj == [0, 1, 2]
-    assert is_biconnected(bg) and is_outerplanar(bg)[0]
+    bg = biconnect_outerplanar(g)
+    assert nx.is_biconnected(nx.Graph(bg.edges)) and is_outerplanar(bg)[0]
     # induced: no new edges among original vertices
     assert not bg.has_edge(0, 2)
 
 
 def test_biconnect_star():
-    bg, _ = biconnect_outerplanar(Graph(4, [(0, 1), (0, 2), (0, 3)]))
-    assert is_biconnected(bg) and is_outerplanar(bg)[0]
+    bg = biconnect_outerplanar(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    assert nx.is_biconnected(nx.Graph(bg.edges)) and is_outerplanar(bg)[0]
 
 
 def test_biconnect_idempotent_on_2connected():
     g = cycle(5)
-    bg, _ = biconnect_outerplanar(g)
-    assert bg == g
+    assert biconnect_outerplanar(g) is g
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_biconnect_properties_random(seed):
     for g in outerplanar_corpus(4, 12, seed=seed):
-        bg, inj = biconnect_outerplanar(g)
-        assert is_biconnected(bg)
+        bg = biconnect_outerplanar(g)
+        assert nx.is_biconnected(nx.Graph(bg.edges))
         assert is_outerplanar(bg)[0]
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -167,20 +161,25 @@ def test_ears_fan():
 def test_ears_two_triangles_rooted():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
     ok, rot, ofi = is_outerplanar(g)
-    dec = ear_decomposition(g, rot, root=(0, 1), outer_face_index=ofi)
+    dec = ear_decomposition(g, rot, outer_face_index=ofi)
     assert dec.root_edge == (0, 1)
     assert [len(e) - 2 for e in dec.ears] == [1, 1]
     assert replay_ears(4, dec) == g
 
 
-def test_ears_bad_root():
-    g = random_maximal_outerplanar(7, seed=0).graph
-    ok, rot, ofi = is_outerplanar(g)
-    inner = next(e for e in g.edges if e not in
-                 {(min(a, b), max(a, b)) for (a, b) in
-                  faces(g, rot).faces[ofi]})
-    with pytest.raises(RootNotOnOuterFace):
-        ear_decomposition(g, rot, root=inner, outer_face_index=ofi)
+def test_outer_walk_decides_2_connectivity_atlas():
+    # networkx is the reference: on every connected outer-planar atlas graph
+    # with n <= 7, the augmentation leaves g alone and the ear decomposition
+    # accepts g exactly when g is 2-connected
+    for g in atlas_connected_outerplanar(7):
+        want = nx.is_biconnected(nx.Graph(g.edges))
+        assert (biconnect_outerplanar(g) is g) == want
+        ok, rot, ofi = is_outerplanar(g)
+        if want:
+            assert replay_ears(g.n, ear_decomposition(g, rot, outer_face_index=ofi)) == g
+        else:
+            with pytest.raises(NotBiconnected):
+                ear_decomposition(g, rot, outer_face_index=ofi)
 
 
 @pytest.mark.parametrize("seed", range(10))

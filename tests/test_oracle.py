@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -196,7 +197,8 @@ def test_gadgets_are_load_bearing():
 
 
 def test_chunk_and_limit_validated():
-    for kwargs in ({"chunk": 0}, {"chunk": -1}, {"limit": 0}, {"limit": -3}):
+    for kwargs in ({"chunk": 0}, {"chunk": -1}, {"limit": 0}, {"limit": -3},
+                   {"budget": 5, "limit": 3}):
         with pytest.raises(StrandkitError):
             enumerate_breaks(k3_plane(), **kwargs)
 
@@ -325,3 +327,27 @@ def test_parallel_early_hit_stress():
     # must not touch the ranges before it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strandkit.__file__)))
     subprocess.run([sys.executable, "-c", STRESS], env=env, timeout=120, check=True)
+
+
+HUGE_SPACE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+from strandkit.families import random_maximal_outerplanar
+from strandkit.oracle import enumerate_breaks
+
+v = enumerate_breaks(random_maximal_outerplanar(30, 1), None, jobs=int(sys.argv[1]))
+print(v.status, v.tried, v.total)
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exhaustive_search_of_huge_space_stops_at_first_hit(jobs):
+    # ~10^15 vectors, the first one realizable: the search must return at
+    # once under a 600 MB address-space cap, so its chunk ranges cannot be
+    # listed up front, nor drained after the hit
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strandkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", HUGE_SPACE, str(jobs)], env=env,
+                         timeout=60, check=True, capture_output=True, text=True).stdout
+    g = random_maximal_outerplanar(30, 1).graph
+    total = math.prod(g.degree(v) for v in range(g.n))
+    assert out.split() == ["yes", "1", str(total)]
