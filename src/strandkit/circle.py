@@ -138,9 +138,10 @@ def chord_to_geometry(diagram: ChordDiagram) -> StringRep:
 
 def build_circle(g: Graph, per_ear_check: bool = False, trace: bool = False) -> CircleBuild:
     """Theorem-3 style construction for any connected outer-planar graph."""
-    g2 = biconnect_outerplanar(g)
-    ok, rot2, ofi = is_outerplanar(g2)
-    assert ok
+    _ok, rot2, ofi = is_outerplanar(g)
+    g2 = biconnect_outerplanar(g, rot2, ofi)
+    if g2 is not g:  # the augmentation needs an embedding of its own
+        _ok, rot2, ofi = is_outerplanar(g2)
     dec = ear_decomposition(g2, rot2, outer_face_index=ofi)
 
     a, b = dec.root_edge

@@ -3,17 +3,22 @@
 All predicates run on exact rationals (fractions.Fraction); the pairwise
 segment tests use integer homogeneous coordinates so that no floating point
 can ever misclassify a crossing. Floats appear only as a conservative
-bounding-box prefilter.
+bounding-box prefilter, taken after a power-of-two rescaling so that no
+coordinate overflows a float.
 
-`crossing_profile` places each crossing on both curves (segment index and
-parameter) where its segment-pair scan finds it. The polyline-witness index
-of `verify_outer_string` lays a grid over the witness's own bounding box,
-with about as many cells as segments, so it scales with the witness and not
-with the coordinates.
+`crossing_profile` and the polyline-witness index of `verify_outer_string`
+bucket segment boxes on the same kind of grid: about as many cells as
+segments, laid over the segments' own bounding box, so the cost scales with
+the input and not with its coordinates. The profile takes its candidate
+segment pairs from one grid over all curves. A crossing interior to both
+segments is proper by itself and is placed on both curves from the four
+orientation determinants alone; every other meeting is placed where the scan
+finds it and checked for alternation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,11 +62,12 @@ def _homog(p: Point) -> tuple[int, int, int]:
 
 
 def _orient_h(a, b, c) -> int:
+    """Orientation determinant of the homogeneous points a, b, c (all w > 0):
+    positive when c lies left of the directed line ab."""
     ax, ay, aw = a
     bx, by, bw = b
     cx, cy, cw = c
-    d = aw * (bx * cy - by * cx) - bw * (ax * cy - ay * cx) + cw * (ax * by - ay * bx)
-    return (d > 0) - (d < 0)
+    return aw * (bx * cy - by * cx) - bw * (ax * cy - ay * cx) + cw * (ax * by - ay * bx)
 
 
 def _on_segment_h(a, b, p) -> bool:
@@ -87,8 +93,7 @@ def segment_intersection(a: tuple[Point, Point], b: tuple[Point, Point]):
     if p1 == p2 or p3 == p4:
         raise DegenerateSegment("zero-length segment")
     h1, h2, h3, h4 = _homog(p1), _homog(p2), _homog(p3), _homog(p4)
-    d1 = _orient_h(h3, h4, h1)
-    d2 = _orient_h(h3, h4, h2)
+    d1, d2, d3, d4 = _dets(h1, h2, h3, h4)
     if d1 == 0 and d2 == 0:
         # collinear: project on the dominant axis
         axis = 0 if p1[0] != p2[0] else 1
@@ -108,8 +113,6 @@ def segment_intersection(a: tuple[Point, Point], b: tuple[Point, Point]):
         return p1 if _on_segment_h(h3, h4, h1) else None
     if d2 == 0:
         return p2 if _on_segment_h(h3, h4, h2) else None
-    d3 = _orient_h(h1, h2, h3)
-    d4 = _orient_h(h1, h2, h4)
     if d3 == 0:
         return p3 if _on_segment_h(h1, h2, h3) else None
     if d4 == 0:
@@ -117,6 +120,14 @@ def segment_intersection(a: tuple[Point, Point], b: tuple[Point, Point]):
     if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
         return _line_meet(h1, h2, h3, h4)
     return None
+
+
+def _dets(h1, h2, h3, h4) -> tuple[int, int, int, int]:
+    """Orientations of h1 and h2 against the line h3h4, then of h3 and h4
+    against the line h1h2."""
+    return (
+        _orient_h(h3, h4, h1), _orient_h(h3, h4, h2), _orient_h(h1, h2, h3), _orient_h(h1, h2, h4)
+    )
 
 
 def _line_meet(h1, h2, h3, h4) -> Point:
@@ -236,13 +247,85 @@ def _curve_self_check(c: Curve) -> None:
             raise InvalidCurve(f"curve {c.vertex} self-intersects near {r}")
 
 
-def _fbox(a: Point, b: Point) -> tuple[float, float, float, float]:
-    """Float bounding box of segment ab, padded beyond float rounding error:
-    a reject-only prefilter."""
-    x0, x1 = sorted((float(a[0]), float(b[0])))
-    y0, y1 = sorted((float(a[1]), float(b[1])))
+def _shift(points: Iterable[Point]) -> int:
+    """An exponent e such that every coordinate of `points`, divided by 2**e,
+    lies well inside float range, so that the prefilter never overflows."""
+    bits = (abs(c.numerator).bit_length() - c.denominator.bit_length() for p in points for c in p)
+    return max(max(bits, default=0) - 960, 0)
+
+
+def _flt(x: Fraction, shift: int) -> float:
+    return x.numerator / (x.denominator << shift)
+
+
+def _fbox(a: Point, b: Point, shift: int) -> tuple[float, float, float, float]:
+    """Float bounding box of segment ab divided by 2**shift, padded beyond
+    float rounding error: a reject-only prefilter."""
+    x0, x1 = sorted((_flt(a[0], shift), _flt(b[0], shift)))
+    y0, y1 = sorted((_flt(a[1], shift), _flt(b[1], shift)))
     pad = 1e-9 + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
     return x0 - pad, x1 + pad, y0 - pad, y1 + pad
+
+
+class _Grid:
+    """Boxes bucketed on a grid of about as many cells as boxes, laid over
+    the boxes' own bounding box, so the cost stays the same when the input is
+    scaled or translated. Buckets only prefilter; every geometric decision
+    stays exact."""
+
+    def __init__(self, boxes: list[tuple[float, float, float, float]]):
+        self.boxes = boxes
+        self.last = math.isqrt(len(boxes))  # k = last + 1 cells per side
+        # the box padding keeps both sides of the bounding box positive
+        self.x0 = min((box[0] for box in boxes), default=0.0)
+        self.y0 = min((box[2] for box in boxes), default=0.0)
+        self.dx = (max((box[1] for box in boxes), default=0.0) - self.x0) / (self.last + 1)
+        self.dy = (max((box[3] for box in boxes), default=0.0) - self.y0) / (self.last + 1)
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        self.corner: list[tuple[int, int]] = []  # the lower-left cell of each box
+        for i, box in enumerate(boxes):
+            cells = self._cells(*box)
+            self.corner.append(cells[0])
+            for cell in cells:
+                self.cells.setdefault(cell, []).append(i)
+
+    def _cells(self, x0: float, x1: float, y0: float, y1: float) -> list[tuple[int, int]]:
+        """The grid cells that a box meets, lower-left first; the edge cells
+        extend outwards."""
+        ix = [int(min(max((x - self.x0) / self.dx, 0), self.last)) for x in (x0, x1)]
+        iy = [int(min(max((y - self.y0) / self.dy, 0), self.last)) for y in (y0, y1)]
+        return [(i, j) for i in range(ix[0], ix[1] + 1) for j in range(iy[0], iy[1] + 1)]
+
+    def pairs(self):
+        """Every pair s < t of overlapping boxes once: from the cell that holds
+        the lower-left corner of their overlap."""
+        boxes, c = self.boxes, self.corner
+        for (cx, cy), members in self.cells.items():
+            # boxes that start in this cell, in its column only, in its row only
+            first = [s for s in members if c[s] == (cx, cy)]
+            col = [s for s in members if c[s][0] == cx and c[s][1] != cy]
+            row = [s for s in members if c[s][0] != cx and c[s][1] == cy]
+            others = [s for s in members if c[s] != (cx, cy)]
+            for s, t in itertools.chain(
+                itertools.combinations(first, 2),
+                itertools.product(first, others),
+                itertools.product(col, row),
+            ):
+                x0, x1, y0, y1 = boxes[s]
+                u0, u1, v0, v1 = boxes[t]
+                if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+                    continue
+                yield (s, t) if s < t else (t, s)
+
+    def near(self, x0: float, x1: float, y0: float, y1: float) -> set[int]:
+        """Boxes that meet the given box (and maybe a few more)."""
+        out: set[int] = set()
+        for cell in self._cells(x0, x1, y0, y1):
+            for i in self.cells.get(cell, ()):
+                u0, u1, v0, v1 = self.boxes[i]
+                if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
+                    out.add(i)
+        return out
 
 
 def _position(i: int, a: Point, b: Point, p: Point) -> tuple[int, Fraction]:
@@ -283,71 +366,87 @@ def _in_sweep(a, b, d) -> bool:
 def crossing_profile(rep: StringRep) -> CrossingProfile:
     """Count proper crossings per curve pair and order them along each curve.
 
-    The segment-pair scan records each crossing's arc position on both
-    curves where it finds it. A crossing is proper when exactly one branch
-    of one curve lies inside the sweep between the two branches of the
-    other. Raises on anything that violates the representation model:
+    A meeting that is not interior to both segments is proper when exactly
+    one branch of one curve lies inside the sweep between the two branches of
+    the other. Raises on anything that violates the representation model:
     touching points, overlaps, endpoints resting on curves, three curves
     through one point, self-intersecting curves.
     """
     curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
     for c in curves:
         _curve_self_check(c)
-    data = [[(k, a, b) + _fbox(a, b) for k, (a, b) in enumerate(c.segments)] for c in curves]
+    # (curve index, segment index, a, b, homogeneous a, homogeneous b)
+    segs = []
+    for i, c in enumerate(curves):
+        hs = [_homog(p) for p in c.points]
+        segs += [(i, k, a, b, hs[k], hs[k + 1]) for k, (a, b) in enumerate(c.segments)]
+    shift = _shift(p for c in curves for p in c.points)
+    grid = _Grid([_fbox(s[2], s[3], shift) for s in segs])
 
-    # (u, v) -> {crossing point: (position on u, position on v)}
+    # (i, j, k, l, point, position on curve i, position on curve j, needs checks)
+    found = []
+    overlaps = []
+    for s, t in grid.pairs():
+        i, k, a, b, h1, h2 = segs[s]
+        j, l, c_, d_, h3, h4 = segs[t]
+        if i == j:
+            continue
+        d1, d2, d3, d4 = _dets(h1, h2, h3, h4)
+        if d1 and d2 and d3 and d4:
+            if (d1 > 0) == (d2 > 0) or (d3 > 0) == (d4 > 0):
+                continue
+            # transversal and interior to both segments, hence proper; a and b
+            # lie at signed distances ~ d1/w_a and d2/w_b from the other line
+            e1, e2 = d1 * h2[2], d3 * h4[2]
+            found.append((i, j, k, l, _line_meet(h1, h2, h3, h4),
+                          (k, Fraction(e1, e1 - d2 * h1[2])),
+                          (l, Fraction(e2, e2 - d4 * h3[2])), False))
+            continue
+        r = segment_intersection((a, b), (c_, d_))
+        if isinstance(r, SegmentOverlap):
+            overlaps.append((i, j))
+        elif r is not None:
+            found.append((i, j, k, l, r, _position(k, a, b, r), _position(l, c_, d_, r), True))
+    if overlaps:
+        i, j = min(overlaps)
+        raise CurveOverlap(f"curves {curves[i].vertex} and {curves[j].vertex} overlap on a segment")
+
+    # replay the hits in all-pairs scan order, so the same error is reported first
+    # (i, j) -> {crossing point: (position on curve i, position on curve j, needs checks)}
     pair_hits: dict[tuple[int, int], dict[Point, tuple]] = {}
     point_curves: dict[Point, set[int]] = {}
-    for i, ci in enumerate(curves):
-        for j in range(i + 1, len(curves)):
-            cj = curves[j]
-            hits: dict[Point, tuple] = {}
-            for k, a, b, x0, x1, y0, y1 in data[i]:
-                for l, c_, d_, u0, u1, v0, v1 in data[j]:
-                    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
-                        continue
-                    r = segment_intersection((a, b), (c_, d_))
-                    if r is None:
-                        continue
-                    if isinstance(r, SegmentOverlap):
-                        raise CurveOverlap(
-                            f"curves {ci.vertex} and {cj.vertex} overlap on a segment"
-                        )
-                    if r not in hits:
-                        hits[r] = (_position(k, a, b, r), _position(l, c_, d_, r))
-            if hits:
-                pair_hits[(ci.vertex, cj.vertex)] = hits
-                for p in hits:
-                    point_curves.setdefault(p, set()).update((ci.vertex, cj.vertex))
+    for i, j, _k, _l, p, li, lj, slow in sorted(found):
+        hit = (li, lj, slow)
+        if pair_hits.setdefault((i, j), {}).setdefault(p, hit) is hit:
+            point_curves.setdefault(p, set()).update((curves[i].vertex, curves[j].vertex))
 
     for p, vs in point_curves.items():
         if len(vs) > 2:
             raise TripleIntersection(f"curves {sorted(vs)} share point {p}")
 
-    by_vertex = {c.vertex: c for c in curves}
     pair_counts: dict[tuple[int, int], int] = {}
     pair_pts: dict[tuple[int, int], tuple[Point, ...]] = {}
     seq_raw: dict[int, list[tuple[tuple[int, Fraction], int]]] = {c.vertex: [] for c in curves}
-    for (u, v), hits in sorted(pair_hits.items()):
-        cu, cv = by_vertex[u], by_vertex[v]
-        pts = tuple(sorted(hits))
-        for p in pts:
-            for c, other in ((cu, v), (cv, u)):
-                if p == c.tail or p == c.head:
-                    raise EndpointOnCurve(
-                        f"endpoint of curve {c.vertex} lies on curve {other} at {p}"
-                    )
-            lu, lv = hits[p]
-            bu, bv = _branches(cu, lu), _branches(cv, lv)
-            # identical directions of the two curves = overlap
-            if any(_cross(d, e) == 0 and d[0] * e[0] + d[1] * e[1] > 0 for d in bu for e in bv):
-                raise CurveOverlap(f"curves {u} and {v} run together at {p}")
-            if _in_sweep(*bu, bv[0]) == _in_sweep(*bu, bv[1]):
-                raise TouchingPoint(
-                    f"curves {u} and {v} meet at {p} without alternation"
-                )
+    for (i, j), hits in sorted(pair_hits.items()):
+        cu, cv = curves[i], curves[j]
+        u, v = cu.vertex, cv.vertex
+        items = sorted(hits.items())
+        for p, (lu, lv, slow) in items:
+            if slow:  # an endpoint, a bend or an overlap may be involved
+                for c, other in ((cu, v), (cv, u)):
+                    if p == c.tail or p == c.head:
+                        raise EndpointOnCurve(
+                            f"endpoint of curve {c.vertex} lies on curve {other} at {p}"
+                        )
+                bu, bv = _branches(cu, lu), _branches(cv, lv)
+                # identical directions of the two curves = overlap
+                if any(_cross(d, e) == 0 and d[0] * e[0] + d[1] * e[1] > 0 for d in bu for e in bv):
+                    raise CurveOverlap(f"curves {u} and {v} run together at {p}")
+                if _in_sweep(*bu, bv[0]) == _in_sweep(*bu, bv[1]):
+                    raise TouchingPoint(f"curves {u} and {v} meet at {p} without alternation")
             seq_raw[u].append((lu, v))
             seq_raw[v].append((lv, u))
+        pts = tuple(p for p, _hit in items)
         pair_counts[(u, v)] = len(pts)
         pair_pts[(u, v)] = pts
 
@@ -420,46 +519,19 @@ def _circle_side(w: CircleWitness, p: Point) -> int:
     return (d > 0) - (d < 0)
 
 
-class _PolyIndex:
-    """Witness segments bucketed on a grid of about as many cells as
-    segments, laid over the witness's own bounding box, so the cost stays the
-    same when the input is scaled or translated. Buckets only prefilter;
-    every geometric decision stays exact."""
+class _PolyIndex(_Grid):
+    """Witness segments on a `_Grid` of their own, with floats scaled by
+    2**-shift; `shift` must suit every point the index is asked about."""
 
-    def __init__(self, w: PolylineWitness):
+    def __init__(self, w: PolylineWitness, shift: int):
         self.segs = w.segments()
         if any(a == b for a, b in self.segs):
             raise DegenerateSegment("witness repeats a point")
-        self.boxes = [_fbox(a, b) for a, b in self.segs]
-        self.last = math.isqrt(len(self.segs))  # k = last + 1 cells per side
-        # the box padding keeps both sides of the bounding box positive
-        self.x0 = min(box[0] for box in self.boxes)
-        self.y0 = min(box[2] for box in self.boxes)
-        self.dx = (max(box[1] for box in self.boxes) - self.x0) / (self.last + 1)
-        self.dy = (max(box[3] for box in self.boxes) - self.y0) / (self.last + 1)
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        for i, box in enumerate(self.boxes):
-            for cell in self._cells(*box):
-                self.cells.setdefault(cell, []).append(i)
-
-    def _cells(self, x0: float, x1: float, y0: float, y1: float) -> list[tuple[int, int]]:
-        """The grid cells that a box meets; the edge cells extend outwards."""
-        ix = [int(min(max((x - self.x0) / self.dx, 0), self.last)) for x in (x0, x1)]
-        iy = [int(min(max((y - self.y0) / self.dy, 0), self.last)) for y in (y0, y1)]
-        return [(i, j) for i in range(ix[0], ix[1] + 1) for j in range(iy[0], iy[1] + 1)]
-
-    def near(self, x0: float, x1: float, y0: float, y1: float) -> set[int]:
-        """Segments whose box meets the given box (and maybe a few more)."""
-        out: set[int] = set()
-        for cell in self._cells(x0, x1, y0, y1):
-            for i in self.cells.get(cell, ()):
-                u0, u1, v0, v1 = self.boxes[i]
-                if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
-                    out.add(i)
-        return out
+        self.shift = shift
+        super().__init__([_fbox(a, b, self.shift) for a, b in self.segs])
 
     def on_boundary(self, p: Point) -> bool:
-        fx, fy = float(p[0]), float(p[1])
+        fx, fy = _flt(p[0], self.shift), _flt(p[1], self.shift)
         for i in self.near(fx, fx, fy, fy):
             a, b = self.segs[i]
             dx, dy = b[0] - a[0], b[1] - a[1]
@@ -476,7 +548,7 @@ class _PolyIndex:
         boundary membership."""
         cnt = 0
         px, py = p
-        fx, fy = float(px), float(py)
+        fx, fy = _flt(px, self.shift), _flt(py, self.shift)
         # a segment crossing the rightward ray meets its row right of p
         for i in self.near(fx, math.inf, fy, fy):
             a, b = self.segs[i]
@@ -507,13 +579,15 @@ def verify_outer_string(rep: StringRep, mode: str = BOTH_ENDS) -> Report:
             on = [_circle_side(w, c.tail) == 0, _circle_side(w, c.head) == 0]
             _check_ends(failures, v, on, mode)
     else:
-        index = _PolyIndex(w)
+        # one float scale for the witness and every curve point it is asked about
+        points = w.points + tuple(p for c in rep.curves.values() for p in c.points)
+        index = _PolyIndex(w, _shift(points))
         for v in sorted(rep.curves):
             c = rep.curves[v]
             bad = False
             for a, b in c.segments:
                 ts = {Fraction(0), Fraction(1)}
-                for i in index.near(*_fbox(a, b)):
+                for i in index.near(*_fbox(a, b, index.shift)):
                     r = segment_intersection((a, b), index.segs[i])
                     if r is None:
                         continue

@@ -193,23 +193,24 @@ def is_outerplanar(g: Graph) -> tuple[bool, RotationScheme | None, int | None]:
     raise AssertionError("apex embedding lost the outer face")
 
 
-def biconnect_outerplanar(g: Graph) -> Graph:
+def biconnect_outerplanar(
+    g: Graph, rot: RotationScheme | None, outer_face_index: int | None
+) -> Graph:
     """2-connected outer-planar supergraph containing g as an INDUCED subgraph
     on the same vertex ids 0..g.n-1; g itself when it is 2-connected.
 
+    `rot` and `outer_face_index` are what `is_outerplanar(g)` returns, so the
+    apex test runs once; a `rot` of None (g is not outer-planar) raises.
     Augmentation adds new vertices only (one per missing hop between
     consecutive first occurrences along the outer face walk), never edges
     between existing vertices; that is what lets constructors drop the added
     curves afterwards.
     """
-    if not g.is_connected():
-        raise GraphNotConnected("biconnect_outerplanar expects a connected graph")
+    if rot is None:
+        raise NotOuterplanar("input graph is not outer-planar")
     if g.n == 1:
         return Graph(2, [(0, 1)])
-    ok, rot, ofi = is_outerplanar(g)
-    if not ok:
-        raise NotOuterplanar("input graph is not outer-planar")
-    walk = faces(g, rot)[ofi]
+    walk = faces(g, rot)[outer_face_index]
     if len(walk) == g.n:
         return g
     first_seen: list[int] = []

@@ -251,9 +251,10 @@ def _case_conv_valley(b, frame, w, u, x, v, h, t):
 
 
 def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> VpgBuild:
-    g2 = biconnect_outerplanar(g)
-    ok, rot2, ofi = is_outerplanar(g2)
-    assert ok
+    _ok, rot2, ofi = is_outerplanar(g)
+    g2 = biconnect_outerplanar(g, rot2, ofi)
+    if g2 is not g:  # the augmentation needs an embedding of its own
+        _ok, rot2, ofi = is_outerplanar(g2)
     dec = ear_decomposition(g2, rot2, outer_face_index=ofi)
     a, c = dec.root_edge
 

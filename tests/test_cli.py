@@ -47,6 +47,26 @@ def test_verify_failure_exit_code(tmp_path):
     assert main(["verify", str(rep), str(bad)]) == 1
 
 
+def test_verify_beyond_float_range(tmp_path, capsys):
+    """A rep scaled past float range verifies as at x1 (no overflow in the
+    float prefilter)."""
+    g = tmp_path / "g.json"
+    rep = tmp_path / "rep.json"
+    main(["gen", "maximal-outerplanar", "--n", "8", "--seed", "1", "--out", str(g)])
+    main(["build", "vpg", str(g), "--out", str(rep)])
+    data = json.loads(rep.read_text())
+
+    def scaled(pts):
+        return [[x * 10**400, dx, y * 10**400, dy] for x, dx, y, dy in pts]
+
+    data["curves"] = {v: scaled(pts) for v, pts in data["curves"].items()}
+    data["witness"]["polyline"] = scaled(data["witness"]["polyline"])
+    rep.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(rep), str(g), "--order", "--outer", "both-ends"]) == 0
+    assert all(r["ok"] for r in json.loads(capsys.readouterr().out).values())
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["gen", "no-such-family"]) == 2
     assert main(["build", "circle", str(tmp_path / "missing.json")]) == 2

@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 from fractions import Fraction as F
 
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandkit.circle import build_circle, chord_to_geometry
+from strandkit import geom
 from strandkit.errors import (
     CurveOverlap,
     DegenerateSegment,
     EndpointOnCurve,
+    InvalidCurve,
     MissingWitness,
     TouchingPoint,
     TripleIntersection,
@@ -361,3 +365,187 @@ def test_verifier_detects_mutations(seed):
     ok1 = verify_1string(rep, g, prof).ok
     ok2 = verify_order_preserving(rep, PlaneGraph(g, b.plane.rot), profile=prof).ok
     assert not (ok1 and ok2)
+
+
+# ---------------------------------------------------------------------------
+# the bucketed scan against a brute-force all-pairs reference
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_profile(rep):
+    """Reference: every segment pair of every curve pair, each meeting placed
+    and checked where the scan finds it, with no prefilter."""
+    curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
+    for c in curves:
+        geom._curve_self_check(c)
+    pair_hits, point_curves = {}, {}
+    for ci, cj in itertools.combinations(curves, 2):
+        hits = {}
+        for k, (a, b) in enumerate(ci.segments):
+            for l, (c_, d_) in enumerate(cj.segments):
+                r = segment_intersection((a, b), (c_, d_))
+                if isinstance(r, SegmentOverlap):
+                    raise CurveOverlap(
+                        f"curves {ci.vertex} and {cj.vertex} overlap on a segment")
+                if r is not None and r not in hits:
+                    hits[r] = (geom._position(k, a, b, r), geom._position(l, c_, d_, r))
+        if hits:
+            pair_hits[(ci.vertex, cj.vertex)] = hits
+            for p in hits:
+                point_curves.setdefault(p, set()).update((ci.vertex, cj.vertex))
+    for p, vs in point_curves.items():
+        if len(vs) > 2:
+            raise TripleIntersection(f"curves {sorted(vs)} share point {p}")
+    counts, points, seqs = {}, {}, {c.vertex: [] for c in curves}
+    for (u, v), hits in sorted(pair_hits.items()):
+        cu, cv = rep.curves[u], rep.curves[v]
+        for p in sorted(hits):
+            for c, other in ((cu, v), (cv, u)):
+                if p in (c.tail, c.head):
+                    raise EndpointOnCurve(
+                        f"endpoint of curve {c.vertex} lies on curve {other} at {p}")
+            lu, lv = hits[p]
+            bu, bv = geom._branches(cu, lu), geom._branches(cv, lv)
+            cross = geom._cross
+            if any(cross(d, e) == 0 and d[0] * e[0] + d[1] * e[1] > 0 for d in bu for e in bv):
+                raise CurveOverlap(f"curves {u} and {v} run together at {p}")
+            if geom._in_sweep(*bu, bv[0]) == geom._in_sweep(*bu, bv[1]):
+                raise TouchingPoint(f"curves {u} and {v} meet at {p} without alternation")
+            seqs[u].append((lu, v))
+            seqs[v].append((lv, u))
+        counts[(u, v)] = len(hits)
+        points[(u, v)] = tuple(sorted(hits))
+    return counts, {v: tuple(w for _loc, w in sorted(lst)) for v, lst in seqs.items()}, points
+
+
+def outcome(fn, rep):
+    try:
+        r = fn(rep)
+    except (InvalidCurve, CurveOverlap, EndpointOnCurve, TouchingPoint, TripleIntersection) as e:
+        return type(e), str(e)
+    return r if isinstance(r, tuple) else (r.pair_counts, r.sequences, r.points)
+
+
+def assert_matches_reference(rep):
+    got = outcome(crossing_profile, rep)
+    assert got == outcome(all_pairs_profile, rep)
+    return got
+
+
+def random_rep(rng):
+    """2-5 curves of 1-3 segments on a small lattice, some x at halves: every
+    kind of meeting and every error of the model turns up."""
+    side = rng.choice((4, 4, 12))
+    curves = {}
+    for v in range(rng.randint(2, 5)):
+        pts = []
+        while len(pts) < rng.randint(2, 4):
+            x, y = F(rng.randint(0, side)), F(rng.randint(0, side))
+            x += F(1, 2) if rng.random() < 0.2 else 0
+            if not pts or pts[-1] != (x, y):
+                pts.append((x, y))
+        curves[v] = Curve(v, tuple(pts))
+    return StringRep(curves)
+
+
+def test_profile_matches_all_pairs_reference_random():
+    rng = random.Random(20240917)
+    seen = set()
+    for _ in range(3200):
+        got = assert_matches_reference(random_rep(rng))
+        seen.add(got[0] if isinstance(got[0], type) else "ok")
+    assert seen == {"ok", InvalidCurve, CurveOverlap, EndpointOnCurve, TouchingPoint,
+                    TripleIntersection}
+
+
+def test_profile_many_crossings_on_one_segment():
+    rng = random.Random(3)
+    xs = [k + F(1, k + 2) for k in range(40)]
+    ids = list(range(1, 41))
+    rng.shuffle(ids)
+    curves = {0: Curve(0, (pt(-1, 0), pt(41, 0)))}
+    for v, x in zip(ids, xs):
+        curves[v] = Curve(v, ((x, F(-1 - v)), (x + F(1, v), F(v))))
+    rep = StringRep(curves)
+    assert assert_matches_reference(rep)[1][0] == tuple(ids)
+    flipped = reverse_curves(rep, [0])
+    assert assert_matches_reference(flipped)[1][0] == tuple(reversed(ids))
+
+
+def test_profile_crossing_on_grid_cell_boundary():
+    """Two curves crossing on a vertex of the bucketing grid, and two
+    diagonals whose boxes start on another one."""
+    frame = {0: (pt(0, 0), pt(1, 0)), 1: (pt(7, 8), pt(8, 8))}  # fixes the grid's extent
+
+    def rep_with(x, y, x2, y2):
+        curves = dict(frame)
+        curves[2] = ((x, F(2)), (x, F(6)))
+        curves[3] = ((F(1), y), (F(7), y))
+        curves[4] = ((x2, y2), (x2 + 2, y2 + 2))
+        curves[5] = ((x2 + 2, y2), (x2, y2 + 2))
+        return StringRep({v: Curve(v, pts) for v, pts in curves.items()})
+
+    def grid_lines(rep):
+        segs = [s for c in rep.curves.values() for s in c.segments]
+        g = geom._Grid([geom._fbox(a, b, 0) for a, b in segs])
+        return [F(g.x0 + g.dx * 2), F(g.y0 + g.dy), F(g.x0 + g.dx), F(g.y0 + g.dy * 2)]
+
+    lines = grid_lines(rep_with(F(5), F(3), F(2), F(5)))
+    rep = rep_with(*lines)
+    assert grid_lines(rep) == lines
+    counts, _seqs, points = assert_matches_reference(rep)
+    assert counts == {(2, 3): 1, (4, 5): 1}
+    assert points[(2, 3)] == (tuple(lines[:2]),)
+
+
+@pytest.mark.parametrize("ys, want", [
+    (((0, 1), (2, 3), (4, 5)), None),
+    (((0, 1), (1, 3), (4, 5)), EndpointOnCurve),
+    (((0, 2), (1, 3), (4, 5)), CurveOverlap),
+])
+def test_profile_segments_on_one_vertical_line(ys, want):
+    """A zero-width bounding box: the grid has one column of cells."""
+    rep = StringRep({v: Curve(v, (pt(3, y0), pt(3, y1))) for v, (y0, y1) in enumerate(ys)})
+    got = assert_matches_reference(rep)
+    assert got[0] == want if want else got[0] == {}
+
+
+def test_profile_reports_least_overlapping_pair():
+    """Two curve pairs overlap; under every labelling the message names the
+    lexicographically least of them, as an all-pairs scan in order would."""
+    shapes = [
+        (pt(0, 0), pt(4, 0)), (pt(2, 0), pt(6, 0)),  # overlap near the origin
+        (pt(0, 9), pt(9, 9), pt(9, 20)), (pt(8, 12), pt(9, 14), pt(9, 22)),  # far away
+    ]
+    for labels in itertools.permutations(range(4)):
+        rep = StringRep({v: Curve(v, pts) for v, pts in zip(labels, shapes)})
+        least = min(tuple(sorted(labels[:2])), tuple(sorted(labels[2:])))
+        with pytest.raises(CurveOverlap, match=f"^curves {least[0]} and {least[1]} overlap"):
+            crossing_profile(rep)
+        assert_matches_reference(rep)
+
+
+def test_verify_beyond_float_range():
+    """The n=12 VPG rep of the perfbench verify workload, scaled by 10^400 and
+    translated, gets the same profile and reports as at x1, within the time
+    bound of the 10^6 case."""
+    pg = random_maximal_outerplanar(12, seed=7)
+    rep = build_vpg(pg.graph).rep
+    s, tx, ty = 10**400, -(10**401) + 3, 7
+    big = _moved(rep, s, tx, ty)
+    base, prof = crossing_profile(rep), crossing_profile(big)
+    assert (prof.pair_counts, prof.sequences) == (base.pair_counts, base.sequences)
+    assert {k: tuple(((x - tx) / s, (y - ty) / s) for x, y in pts)
+            for k, pts in prof.points.items()} == base.points
+    assert verify_1string(big, pg.graph, prof).ok
+    assert verify_order_preserving(big, build_vpg(pg.graph).plane, profile=prof).ok
+    t0 = time.perf_counter()
+    moved = verify_outer_string(big, BOTH_ENDS)
+    assert time.perf_counter() - t0 < 5
+    assert moved.ok and _report_back(moved, s, tx, ty) == _report_back(
+        verify_outer_string(rep, BOTH_ENDS), 1, 0, 0)
+    for rep in OUTER_REPS:
+        for mode in (BOTH_ENDS, ONE_END):
+            base = verify_outer_string(rep, mode)
+            moved = verify_outer_string(_moved(rep, s, tx, ty), mode)
+            assert _report_back(moved, s, tx, ty) == _report_back(base, 1, 0, 0)
