@@ -6,7 +6,10 @@ head of v's chord; an ear consumes its edge's arc and lays out new chord
 endpoints and arcs inside it with `graphs.ear_layout`, the layout the VPG
 chains share. Circle points use the rational tangent-half-angle map
 t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)); the gap point (-1,0) at t=infinity is
-never assigned.
+never assigned. For t = a/b that point is the integer homogeneous point
+(b^2-a^2, 2ab, a^2+b^2), and the ear step decides where a crossing lies
+against a region's cap chord from these integers alone: one line-point sign
+per shrink step, whose only `Fraction` work is halving the parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterCollision
-from .geom import CircleWitness, Curve, StringRep, check_partial
+from .geom import CircleWitness, Curve, StringRep, _cross3, check_partial
 from .graphs import (
     Graph,
     PlaneGraph,
@@ -29,10 +32,17 @@ from .graphs import (
 F = Fraction
 
 
+def _circle_h(t: Fraction) -> tuple[int, int, int]:
+    """Homogeneous integer point of parameter t = a/b on the unit circle:
+    (b^2 - a^2, 2ab, a^2 + b^2), with a positive weight."""
+    a, b = t.numerator, t.denominator
+    return (b * b - a * a, 2 * a * b, a * a + b * b)
+
+
 def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
     """Rational point on the unit circle; t = tan(theta/2)."""
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
+    x, y, w = _circle_h(t)
+    return (F(x, w), F(y, w))
 
 
 @dataclass(frozen=True)
@@ -72,39 +82,21 @@ class CircleBuild:
     trace: tuple[dict, ...] = ()
 
 
-def _chords_cross(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    """Interleaving of parameter pairs on the circle (gap at infinity)."""
-    a0, a1 = sorted(a)
-    b0, b1 = sorted(b)
-    in0 = a0 < b0 < a1
-    in1 = a0 < b1 < a1
-    return in0 != in1
+def _chord_meet(a, b) -> tuple[int, int, int]:
+    """Crossing point of two interleaving chords, as a homogeneous integer
+    point with a positive weight."""
+    chord_a = _cross3(_circle_h(a[0]), _circle_h(a[1]))
+    x, y, w = _cross3(chord_a, _cross3(_circle_h(b[0]), _circle_h(b[1])))
+    return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
-def _chord_meet(a, b) -> tuple[Fraction, Fraction]:
-    """Crossing point of two interleaving chords (exact)."""
-    p1, p2 = circle_point(a[0]), circle_point(a[1])
-    p3, p4 = circle_point(b[0]), circle_point(b[1])
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    t = ((p3[0] - p1[0]) * d2[1] - (p3[1] - p1[1]) * d2[0]) / den
-    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
-
-
-def _in_sliver(lo: Fraction, hi: Fraction, p: tuple[Fraction, Fraction]) -> bool:
-    """Is p inside the circular segment bounded by the arc (lo,hi) and its
-    cap chord (arc side of the cap, cap inclusive)."""
-    a = circle_point(lo)
-    b = circle_point(hi)
-    m = circle_point((lo + hi) / 2)
-
-    def orient(q):
-        return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-
-    sp = orient(p)
-    sm = orient(m)
-    return sp == 0 or (sp > 0) == (sm > 0)
+def _in_sliver(lo: Fraction, hi: Fraction, p: tuple[int, int, int]) -> bool:
+    """Is the homogeneous point p (positive weight) inside the circular
+    segment bounded by the arc (lo,hi), lo < hi, and its cap chord (arc side
+    of the cap, cap inclusive)? The arc runs counterclockwise from lo to hi,
+    so it lies right of the chord directed from lo to hi."""
+    lx, ly, lw = _cross3(_circle_h(lo), _circle_h(hi))
+    return lx * p[0] + ly * p[1] + lw * p[2] <= 0
 
 
 def _make_region(
@@ -113,7 +105,7 @@ def _make_region(
     hi: Fraction,
     p_u: Fraction,
     p_v: Fraction,
-    cross_pt: tuple[Fraction, Fraction],
+    cross_pt: tuple[int, int, int],
 ) -> ArcRegion:
     """Region over (lo,hi), shrunk toward the protected parameters until the
     owners' crossing lies outside the circular segment."""

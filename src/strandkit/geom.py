@@ -130,17 +130,18 @@ def _dets(h1, h2, h3, h4) -> tuple[int, int, int, int]:
     )
 
 
-def _line_meet(h1, h2, h3, h4) -> Point:
-    def cross3(u, v):
-        return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
+def _cross3(u, v) -> tuple[int, int, int]:
+    """Cross product of homogeneous triples: the line through two points, or
+    the meet of two lines."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
-    l1 = cross3(h1, h2)
-    l2 = cross3(h3, h4)
-    x, y, w = cross3(l1, l2)
+
+def _line_meet(h1, h2, h3, h4) -> Point:
+    x, y, w = _cross3(_cross3(h1, h2), _cross3(h3, h4))
     assert w != 0
     return (Fraction(x, w), Fraction(y, w))
 

@@ -15,6 +15,7 @@ and right alike: one rule finds the nearest arm beyond the end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,7 +173,10 @@ def extend_to_1string(
     x = corner_v[0] (top) or y = corner_v[1] (right). The first L it would
     meet is the w with the least corner_w[k] beyond the end whose arm
     across the axis spans the line; an arm of w along the line starts at
-    that same corner, so one test covers both arms of w."""
+    that same corner, so one test covers both arms of w. The corners are
+    sorted on each axis once: a bisection finds the first corner beyond the
+    end, and the walk from there stops at the first L whose arm spans the
+    line, which is that least corner."""
     fill = set(tb.elim.fill_edges)
     corner = {v: l.corner for v, l in tb.ls.items()}
     ends = {v: [l.right_end[0], l.top[1]] for v, l in tb.ls.items()}
@@ -188,17 +192,19 @@ def extend_to_1string(
 
     # extensions are sequential: each obstacle scan sees the arms already
     # extended, so two extensions can never collide in fresh territory
+    by_axis = [sorted(corner, key=lambda w: corner[w][k]) for k in (0, 1)]
+    coords = [[corner[w][k] for w in by_axis[k]] for k in (0, 1)]
     for key, c in contacts:
         if key in fill:
             continue
         v, k = c.toucher, _axis(c)
         line, end = corner[v][1 - k], ends[v][k]
-        beyond = [
-            cw[k]
-            for w, cw in corner.items()
-            if w != v and cw[k] > end and cw[1 - k] <= line <= ends[w][1 - k]
-        ]
-        ends[v][k] = end + ((min(beyond) - end) / 2 if beyond else F(1))
+        step = F(1)
+        for w in by_axis[k][bisect_right(coords[k], end):]:
+            if w != v and corner[w][1 - k] <= line <= ends[w][1 - k]:
+                step = (corner[w][k] - end) / 2
+                break
+        ends[v][k] = end + step
 
     curves = {}
     for v in range(g.n):

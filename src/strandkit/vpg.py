@@ -16,11 +16,16 @@ plus horizontal mirrors of all three. P, Q and multi-vertex CONV ears are one
 chain of peaks, laid out by `graphs.ear_layout` (the circle ear layout) on the
 hyp from u's side to v's. Only the single-vertex CONV ear uses a valley: it
 shortens the owner curves and reroutes S with a slit detour (the only case
-that edits S).
+that edits S). S stays axis-parallel, so the detour finds its span on S by
+coordinate equality.
+
+The compaction maps the contour on integers over a common denominator; see
+`compact_grid`.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +36,7 @@ from .geom import (
     Curve,
     PolylineWitness,
     StringRep,
-    _param_on,
+    _orient_h,
     check_partial,
     segment_intersection,
 )
@@ -121,30 +126,30 @@ class _Builder:
         self.curves: dict[int, list[Pt]] = {}
         self.S: list[Pt] = []
         self.regions: dict[tuple[int, int], TriRegion] = {}
+        self.last = 0  # index in S of the segment the last splice replaced
 
     # -- S editing ----------------------------------------------------------
 
     def splice(self, a: Pt, b: Pt, path: list[Pt]) -> None:
-        """Replace the straight S portion between collinear points a, b
-        (both interior to one S segment) by `path` (from a to b)."""
-        n = len(self.S)
-        for i in range(n):
-            p, q = self.S[i], self.S[(i + 1) % n]
-            if _between(p, q, a) and _between(p, q, b):
-                ta = _param_on(p, q, a)
-                tb = _param_on(p, q, b)
-                pts = [a] + path + [b] if ta < tb else [b] + list(reversed(path)) + [a]
-                self.S = self.S[: i + 1] + pts + self.S[i + 1 :]
+        """Replace the straight S portion between points a, b (both interior
+        to one S segment) by `path` (from a to b). S is axis-parallel, so
+        the segment is the one on the line through a and b whose span along
+        that line covers both. The search starts at the previous splice and
+        widens both ways: consecutive ears mostly edit nearby stretches."""
+        k = 1 if a[0] == b[0] else 0  # the axis the span runs along
+        lo, hi = (a[k], b[k]) if a[k] < b[k] else (b[k], a[k])
+        S, n = self.S, len(self.S)
+        for d in range(n):
+            i = (self.last + (d + 1) // 2 * (1 if d % 2 else -1)) % n
+            p, q = S[i], S[(i + 1) % n]
+            if p[1 - k] == q[1 - k] == a[1 - k] == b[1 - k] and (
+                p[k] < lo < hi < q[k] or q[k] < lo < hi < p[k]
+            ):
+                pts = [a] + path + [b] if (a[k] < b[k]) == (p[k] < q[k]) else [b] + path[::-1] + [a]
+                self.S = S[: i + 1] + pts + S[i + 1 :]
+                self.last = i
                 return
         raise AssertionError("splice span not found on S")
-
-
-def _between(p: Pt, q: Pt, x: Pt) -> bool:
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if (x[0] - p[0]) * dy != (x[1] - p[1]) * dx:
-        return False
-    t = _param_on(p, q, x)
-    return 0 < t < 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,59 +322,90 @@ def rotate45(rep: StringRep) -> StringRep:
     return StringRep(curves, wit)
 
 
-def _piecewise(vals: list[Fraction]):
-    def f(x: Fraction) -> Fraction:
-        if x <= vals[0]:
-            return x - vals[0]
-        if x >= vals[-1]:
-            return F(len(vals) - 1) + (x - vals[-1])
-        lo = bisect_right(vals, x) - 1
-        return F(lo) + (x - vals[lo]) / (vals[lo + 1] - vals[lo])
-
-    return f
-
-
 def compact_grid(rep: StringRep) -> tuple[StringRep, tuple[int, int]]:
     """Monotone piecewise-linear homeomorphism taking the distinct curve
     coordinates to consecutive integers. Axis-parallel curve segments stay
     axis-parallel; the witness polyline is subdivided at map breakpoints so
     its image stays piecewise linear. All incidence and crossing structure is
-    preserved (the map is a plane homeomorphism)."""
+    preserved (the map is a plane homeomorphism).
+
+    Curve points are grid values, looked up by value. The witness is mapped
+    on integers: every coordinate is scaled by the common denominator of all
+    the input's coordinates, and a segment's cuts on x-lines and y-lines are
+    ordered by integer parameters over one denominator, so a point on both
+    lines is one cut. Collinear points are dropped on the same integers
+    before one `Fraction` is built per output coordinate."""
+    if not rep.curves:
+        return rep, (0, 0)
     xs = sorted({p[0] for c in rep.curves.values() for p in c.points})
     ys = sorted({p[1] for c in rep.curves.values() for p in c.points})
-    fx, fy = _piecewise(xs), _piecewise(ys)
-
-    def fpt(p: Pt) -> Pt:
-        return (fx(p[0]), fy(p[1]))
-
-    curves = {v: Curve(v, tuple(fpt(p) for p in c.points)) for v, c in rep.curves.items()}
+    grid = [F(i) for i in range(max(len(xs), len(ys)))]
+    ix = {x: grid[i] for i, x in enumerate(xs)}
+    iy = {y: grid[i] for i, y in enumerate(ys)}
+    curves = {
+        v: Curve(v, tuple((ix[p[0]], iy[p[1]]) for p in c.points)) for v, c in rep.curves.items()
+    }
     wit = rep.witness
     if isinstance(wit, PolylineWitness):
-        new_pts: list[Pt] = []
-        pts = wit.points
-        for i in range(len(pts)):
-            p, q = pts[i], pts[(i + 1) % len(pts)]
-            new_pts.append(fpt(p))
-            cuts = set()
-            for k, vals in enumerate((xs, ys)):
-                lo, hi = sorted((p[k], q[k]))
-                for val in vals[bisect_right(vals, lo) : bisect_left(vals, hi)]:
-                    cuts.add((val - p[k]) / (q[k] - p[k]))
-            for t in sorted(cuts):
-                new_pts.append(fpt((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))))
-        wit = PolylineWitness(tuple(_simplify_closed(new_pts)))
+        den = math.lcm(*{v.denominator for v in (*xs, *ys, *(c for p in wit.points for c in p))})
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (den // v.denominator)
+
+        X, Y = [scaled(x) for x in xs], [scaled(y) for y in ys]
+        pts = [(scaled(x), scaled(y)) for x, y in wit.points]
+        images: list[tuple[int, int, int, int]] = []
+        for i, p in enumerate(pts):
+            images.append((*_axis_image(X, p[0], 1, den), *_axis_image(Y, p[1], 1, den)))
+            _cut_images(X, Y, den, p, pts[(i + 1) % len(pts)], images)
+        wit = PolylineWitness(
+            tuple((F(xn, xd), F(yn, yd)) for xn, xd, yn, yd in _simplify_closed(images))
+        )
     out = StringRep(curves, wit)
     return out, grid_size(out)
 
 
-def _simplify_closed(pts: list[Pt]) -> list[Pt]:
-    """Drop interior points of straight runs (the polyline set is unchanged)."""
+def _axis_image(V: list[int], num: int, e: int, den: int) -> tuple[int, int]:
+    """Image (numerator, denominator) of the value num/e (e > 0) under the map
+    of one axis whose grid values are V, all in units of 1/den. Beyond the
+    grid values the map is a translation."""
+    lo = (bisect_right(V, num) if e == 1 else bisect_right(V, num, key=lambda v: v * e)) - 1
+    if lo < 0:
+        return num - V[0] * e, e * den
+    if num == V[lo] * e:
+        return lo, 1
+    if lo == len(V) - 1:
+        return lo * e * den + num - V[lo] * e, e * den
+    w = (V[lo + 1] - V[lo]) * e
+    return lo * w + num - V[lo] * e, w
+
+
+def _cut_images(X, Y, den, p, q, out) -> None:
+    """Append the images of the points where the segment p->q (scaled
+    integers) meets grid lines, from p to q, both ends excluded. With the
+    reduced direction (rx, ry) and m = |rx|*|ry| (zeros read as 1), the point
+    at key k is p + k*(rx, ry)/m: an x-line v has key |v - px|*|ry|, a
+    y-line |v - py|*|rx|, and one key for both lines is one point."""
+    (px, py), (qx, qy) = p, q
+    g = math.gcd(qx - px, qy - py) or 1
+    rx, ry = (qx - px) // g, (qy - py) // g
+    ax, ay = abs(rx) or 1, abs(ry) or 1
+    keys = set()
+    for V, a, b, scale in ((X, px, qx, ay), (Y, py, qy, ax)):
+        lo, hi = (a, b) if a < b else (b, a)
+        keys.update(abs(v - a) * scale for v in V[bisect_right(V, lo) : bisect_left(V, hi)])
+    m = ax * ay
+    for k in sorted(keys):
+        x, y = px * m + k * rx, py * m + k * ry
+        out.append((*_axis_image(X, x, m, den), *_axis_image(Y, y, m, den)))
+
+
+def _simplify_closed(pts: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """Drop interior points of straight runs (the polyline set is unchanged).
+    A point is (x_num, x_den, y_num, y_den) with positive denominators."""
+    h = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in pts]
     n = len(pts)
-    out = []
-    for i in range(n):
-        a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-        if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
-            out.append(b)
+    out = [pts[i] for i in range(n) if _orient_h(h[i - 1], h[i], h[(i + 1) % n]) != 0]
     return out if len(out) >= 3 else pts
 
 

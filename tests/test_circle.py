@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from strandkit.circle import (
     ChordDiagram,
+    _chord_meet,
+    _in_sliver,
     build_circle,
     chord_to_geometry,
     circle_point,
-    _chords_cross,
 )
 from strandkit.errors import ParameterCollision
 from strandkit.families import random_maximal_outerplanar
@@ -21,6 +23,54 @@ from strandkit.geom import (
 from strandkit.graphs import Graph
 
 from conftest import atlas_connected_outerplanar, outerplanar_corpus
+
+
+def _chords_cross(a, b) -> bool:
+    """Interleaving of parameter pairs on the circle (gap at infinity)."""
+    a0, a1 = sorted(a)
+    b0, b1 = sorted(b)
+    in0 = a0 < b0 < a1
+    in1 = a0 < b1 < a1
+    return in0 != in1
+
+
+# Reference circle predicates in plain `Fraction` arithmetic: the circle map
+# t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)) evaluated point by point.
+
+
+def _ref_point(t):
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def _ref_chord_meet(a, b):
+    p1, p2 = _ref_point(a[0]), _ref_point(a[1])
+    p3, p4 = _ref_point(b[0]), _ref_point(b[1])
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (p4[0] - p3[0], p4[1] - p3[1])
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    t = ((p3[0] - p1[0]) * d2[1] - (p3[1] - p1[1]) * d2[0]) / den
+    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
+
+
+def _ref_in_sliver(lo, hi, p):
+    a, b, m = _ref_point(lo), _ref_point(hi), _ref_point((lo + hi) / 2)
+
+    def orient(q):
+        return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+
+    sp, sm = orient(p), orient(m)
+    return sp == 0 or (sp > 0) == (sm > 0)
+
+
+def _random_param(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(-6, 6))
+    if kind == 1:
+        return F(rng.randint(-50, 50), rng.randint(1, 12))
+    big = 2 ** rng.randint(20, 90)
+    return F(rng.randint(-8 * big, 8 * big), big + rng.randint(0, 3))
 
 
 def verify_build(g, per_ear=False):
@@ -37,6 +87,54 @@ def test_parameterization_identities():
     assert circle_point(F(0)) == (F(1), F(0))
     assert circle_point(F(1)) == (F(0), F(1))
     assert circle_point(F(-1)) == (F(0), F(-1))
+
+
+def test_circle_point_on_unit_circle():
+    rng = random.Random(1)
+    for t in [F(0), F(-1, 3), F(10**30 + 1, 10**30)] + [_random_param(rng) for _ in range(200)]:
+        x, y = circle_point(t)
+        assert x * x + y * y == 1
+        assert (x, y) == _ref_point(t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chord_meet_and_sliver_match_fraction_reference(seed):
+    rng = random.Random(seed)
+    checked = inside = 0
+    while checked < 300:
+        ts = sorted({_random_param(rng) for _ in range(4)} | ({F(0)} if seed == 0 else set()))
+        if len(ts) < 4:
+            continue
+        rng.shuffle(ts)
+        a, b = (ts[0], ts[1]), (ts[2], ts[3])
+        if not _chords_cross(a, b):
+            continue
+        x, y, w = _chord_meet(a, b)
+        assert w > 0
+        p = (F(x, w), F(y, w))
+        assert p == _ref_chord_meet(a, b)
+        lo, hi = sorted(rng.sample(ts, 2))
+        # shrink the arc the way a region does, down to a thin sliver
+        for _ in range(rng.randint(0, 6)):
+            got = _in_sliver(lo, hi, (x, y, w))
+            assert got == _ref_in_sliver(lo, hi, p), (a, b, lo, hi)
+            inside += got
+            lo, hi = lo + (hi - lo) / 3, hi - (hi - lo) / 5
+        checked += 1
+    assert inside > 0
+
+
+def test_sliver_cap_is_inclusive():
+    # the chord endpoints and the cap's own points are inside the sliver
+    lo, hi = F(-1, 2), F(3)
+    for t in (lo, hi):
+        x, y = circle_point(t)
+        assert _in_sliver(lo, hi, (x.numerator * y.denominator, y.numerator * x.denominator,
+                                   x.denominator * y.denominator))
+    assert _ref_in_sliver(lo, hi, circle_point(lo))
+    # the centre is on the arc side only when the arc exceeds half the circle
+    assert _in_sliver(F(-3), F(3), (0, 0, 1)) and not _in_sliver(F(-1, 3), F(1, 3), (0, 0, 1))
+    assert _in_sliver(F(-1), F(1), (0, 0, 1))
 
 
 def test_base_case_perpendicular_diameters():

@@ -1,15 +1,57 @@
+import random
+from fractions import Fraction as F
+
 import pytest
 
 from strandkit.families import random_partial_2tree, subdivided_k23
-from strandkit.geom import crossing_profile, verify_1string, verify_order_preserving
+from strandkit.geom import (
+    Curve,
+    StringRep,
+    crossing_profile,
+    verify_1string,
+    verify_order_preserving,
+)
 from strandkit.graphs import Graph, euler_check
 from strandkit.sp import (
+    _arm_contacts,
+    _axis,
     audit_contacts,
     build_sp,
     build_touching_L,
     derive_embedding,
     extend_to_1string,
 )
+
+
+def _ref_extend_to_1string(tb, g):
+    """Reference extension: each end's obstacle is the least corner over a
+    scan of every L."""
+    fill = set(tb.elim.fill_edges)
+    corner = {v: l.corner for v, l in tb.ls.items()}
+    ends = {v: [l.right_end[0], l.top[1]] for v, l in tb.ls.items()}
+    on_arm = _arm_contacts(tb)
+    contacts = sorted(tb.contacts.items())
+    for key, c in contacts:
+        if key in fill:
+            v, k = c.toucher, _axis(c)
+            below = max([corner[v][k]] + [x for x, _w in on_arm[v][k]])
+            ends[v][k] = (ends[v][k] + below) / 2
+    for key, c in contacts:
+        if key in fill:
+            continue
+        v, k = c.toucher, _axis(c)
+        line, end = corner[v][1 - k], ends[v][k]
+        beyond = [
+            cw[k]
+            for w, cw in corner.items()
+            if w != v and cw[k] > end and cw[1 - k] <= line <= ends[w][1 - k]
+        ]
+        ends[v][k] = end + ((min(beyond) - end) / 2 if beyond else F(1))
+    curves = {}
+    for v in range(g.n):
+        (x, y), (right_x, top_y) = corner[v], ends[v]
+        curves[v] = Curve(v, ((x, top_y), (x, y), (right_x, y)))
+    return StringRep(curves, None)
 
 
 def verify_build(g):
@@ -92,3 +134,13 @@ def test_round_trip_random_partial_2trees(seed):
 def test_singleton():
     sb = build_sp(Graph(1, []))
     assert len(sb.rep.curves) == 1
+
+
+@pytest.mark.parametrize("density", [0.4, 0.6, 0.8, 1.0])
+def test_extension_matches_linear_scan(density):
+    # the densities of the benchmark's construct mix
+    rng = random.Random(int(density * 10))
+    for i in range(30):
+        g = random_partial_2tree(rng.randint(2, 70), density, seed=2000 + i)
+        tb = build_touching_L(g)
+        assert extend_to_1string(tb, g) == _ref_extend_to_1string(tb, g)

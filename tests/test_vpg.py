@@ -1,3 +1,5 @@
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +8,9 @@ from strandkit.errors import NonDiagonalSegment
 from strandkit.families import random_maximal_outerplanar
 from strandkit.geom import (
     BOTH_ENDS,
+    CircleWitness,
     Curve,
+    PolylineWitness,
     StringRep,
     crossing_profile,
     pt,
@@ -32,6 +36,136 @@ def verify_build(g, per_ear=False):
         for (a, bb) in c.segments:
             assert a[0] == bb[0] or a[1] == bb[1]  # orthogonal after rotation
     return b
+
+
+# Reference compaction in plain `Fraction` arithmetic: each point is mapped
+# by bisecting the sorted grid values and interpolating, and every witness
+# segment is cut at the parameters of the grid lines strictly inside it.
+
+
+def _ref_piecewise(vals):
+    def f(x):
+        if x <= vals[0]:
+            return x - vals[0]
+        if x >= vals[-1]:
+            return F(len(vals) - 1) + (x - vals[-1])
+        lo = bisect_right(vals, x) - 1
+        return F(lo) + (x - vals[lo]) / (vals[lo + 1] - vals[lo])
+
+    return f
+
+
+def _ref_simplify_closed(pts):
+    n = len(pts)
+    out = []
+    for i in range(n):
+        a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
+        if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
+            out.append(b)
+    return out if len(out) >= 3 else pts
+
+
+def _ref_compact_grid(rep):
+    xs = sorted({p[0] for c in rep.curves.values() for p in c.points})
+    ys = sorted({p[1] for c in rep.curves.values() for p in c.points})
+    fx, fy = _ref_piecewise(xs), _ref_piecewise(ys)
+
+    def fpt(p):
+        return (fx(p[0]), fy(p[1]))
+
+    curves = {v: Curve(v, tuple(fpt(p) for p in c.points)) for v, c in rep.curves.items()}
+    wit = rep.witness
+    if isinstance(wit, PolylineWitness):
+        new_pts = []
+        pts = wit.points
+        for i in range(len(pts)):
+            p, q = pts[i], pts[(i + 1) % len(pts)]
+            new_pts.append(fpt(p))
+            cuts = set()
+            for k, vals in enumerate((xs, ys)):
+                lo, hi = sorted((p[k], q[k]))
+                for val in vals[bisect_right(vals, lo) : bisect_left(vals, hi)]:
+                    cuts.add((val - p[k]) / (q[k] - p[k]))
+            for t in sorted(cuts):
+                new_pts.append(fpt((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))))
+        wit = PolylineWitness(tuple(_ref_simplify_closed(new_pts)))
+    out = StringRep(curves, wit)
+    return out, grid_size(out)
+
+
+def _random_rep(rng):
+    """Curves on a few random grid values, and a closed witness whose
+    vertices are grid crossings, points on one grid line, points outside the
+    curves' range and free points, so that its segments have every slope,
+    run along grid lines, and meet x- and y-lines at the same point."""
+
+    def val():
+        return F(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7, 16, 2**40 + 1]))
+
+    xs = sorted({val() for _ in range(rng.randint(1, 7))} | {F(41)})
+    ys = sorted({val() for _ in range(rng.randint(1, 7))})
+    curves = {}
+    for v in range(rng.randint(1, 4)):
+        pts = [(rng.choice(xs), rng.choice(ys))]
+        for _ in range(rng.randint(1, 3)):
+            pts.append((rng.choice([x for x in xs if x != pts[-1][0]]), rng.choice(ys)))
+        curves[v] = Curve(v, tuple(pts))
+    used_x = sorted({p[0] for c in curves.values() for p in c.points})
+    used_y = sorted({p[1] for c in curves.values() for p in c.points})
+    wpts = []
+    for _ in range(rng.randint(3, 9)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            p = (rng.choice(used_x), rng.choice(used_y))
+        elif kind == 1:
+            p = (rng.choice(used_x), val())
+        elif kind == 2:
+            p = (used_x[0] - rng.randint(1, 5), used_y[-1] + F(rng.randint(1, 9), 4))
+        else:
+            p = (val(), val())
+        if not wpts or wpts[-1] != p:
+            wpts.append(p)
+    if rng.random() < 0.3:
+        # a diagonal through grid crossings, as the rotated contour has
+        x0, y0 = used_x[0], used_y[0]
+        wpts += [(x0 - 3, y0 - 3), (x0 + 5, y0 + 5)]
+    return StringRep(curves, PolylineWitness(tuple(wpts)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compact_grid_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    diagonal = oblique = axis = 0
+    for _ in range(150):
+        rep = _random_rep(rng)
+        assert compact_grid(rep) == _ref_compact_grid(rep)
+        for p, q in rep.witness.segments():
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            diagonal += abs(dx) == abs(dy)
+            axis += dx == 0 or dy == 0
+            oblique += 0 != abs(dx) != abs(dy) != 0
+    assert diagonal and oblique and axis
+
+
+def test_compact_grid_matches_reference_on_builds():
+    for n in (5, 17, 40):
+        g = random_maximal_outerplanar(n, seed=n).graph
+        rotated = rotate45(build_vpg(g).diag_rep)
+        assert compact_grid(rotated) == _ref_compact_grid(rotated)
+
+
+def test_compact_grid_without_curves():
+    for wit in (None, PolylineWitness((pt(0, 0), pt(1, 0), pt(0, 1))),
+                CircleWitness(pt(0, 0), F(1))):
+        rep = StringRep({}, wit)
+        assert compact_grid(rep) == (rep, (0, 0))
+
+
+def test_compact_grid_keeps_circle_witness():
+    rep = StringRep({0: Curve(0, (pt(1, 1), pt(3, 1)))}, CircleWitness(pt(2, 1), F(9)))
+    out, grid = compact_grid(rep)
+    assert out.witness == rep.witness and grid == (1, 0)
+    assert out.curves[0].points == ((F(0), F(0)), (F(1), F(0)))
 
 
 def strip(n):
