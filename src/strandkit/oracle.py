@@ -11,21 +11,27 @@ Outer-string variants add an apex adjacent to the required end nodes.
 `build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`: the
 plain and the gadget diagram of a plane graph in one outer mode, laid out
 once as static edges plus one edge tuple per (vertex, break, end bit).
+`decide_fixed` and searches also lay out the neighbourhood diagram in that
+form: the gadget diagram of the plane graph induced on the closed
+neighbourhood N[v*] of a maximum-degree vertex v*.
 
 Enumeration walks the mixed-radix space of all break vectors (times the
 end choices in one-end mode), optionally in parallel over fixed-size chunks;
 verdicts are independent of the worker count.
 
-The plain diagram is a minor of the gadgetized one, so a non-planar plain H
-rules a vector out at a fraction of the cost. This shortcut pays where it
-often does (subdivided K_{2,3}, W_7^+) and is pure overhead where it never
-does (the Thm-2 instance). So a search backs off: after a miss (plain H
-planar) it skips the plain test for the next 2, 4, 6, ... vectors over
-consecutive misses, about sqrt(N) tests over N misses, and a hit resets the
-gap to 0. The gap does not double, because in canonical order hits come in
-runs that a doubling gap jumps over. The gadget test alone decides a vector,
-so no verdict depends on the back-off. `Verdict.counters` holds the planarity
-calls, shortcut attempts and shortcut hits, summed over the workers.
+The plain and the neighbourhood diagram are minors of the gadget diagram, so
+either one, when non-planar, rules a vector out at a fraction of the cost. A
+search tests them first, the one with fewer edges first. The plain diagram
+hits often on the subdivided K_{2,3} and W_7^+ and never on the Thm-2
+instance; there the neighbourhood diagram has ruled out every sampled vector,
+in about a third of the gadget test's time. A minor that rarely hits is pure
+overhead, so each one backs off on its own: after a miss (minor planar) it
+is skipped for the next 2, 4, 6, ... vectors over consecutive misses, about
+sqrt(N) tests over N misses, and a hit resets the gap to 0. The gap does not
+double, because in canonical order hits come in runs that a doubling gap
+jumps over. The gadget test alone accepts a vector, so no verdict depends on
+the minors or their back-off. `Verdict.counters` holds the planarity calls
+and each minor's attempts and hits, summed over the workers.
 """
 
 from __future__ import annotations
@@ -34,10 +40,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BudgetZero, InvalidBreak, StrandkitError
 from .geom import BOTH_ENDS, ONE_END
-from .graphs import PlaneGraph
+from .graphs import Graph, PlaneGraph, RotationScheme
 from .planarity import is_planar_edges
 
 
@@ -127,6 +134,46 @@ class _Task:
                 gadget_rows[v].append(tuple(gadget))
         self.plain = self._diagram(base + m, [], plain_rows, mode)
         self.gadget = self._diagram(base + 5 * m, wheels, gadget_rows, mode)
+        self.pg, self.mode = pg, mode
+
+    @cached_property
+    def local(self):
+        """The neighbourhood diagram, or None when N[v*] is every vertex: the
+        gadget diagram that `_Task` lays out for the plane graph induced on
+        the closed neighbourhood N[v*] of a maximum-degree vertex v* (least
+        id on ties), its vertices numbered in increasing order. Each kept
+        vertex keeps its clockwise order restricted to N[v*], and its row
+        for break b is the induced row whose break is the first neighbour at
+        or after b in N[v*]; it keeps its end bit. Vertices outside N[v*]
+        add no edges.
+
+        It is a minor of the gadget diagram, so a non-planar neighbourhood
+        diagram rules the vector out. Delete the curves of the vertices
+        outside N[v*], their end nodes, and the wheels of their crossings
+        with each other. A wheel crossed by one kept curve only contracts
+        to a point on that curve's path, which one more contraction
+        removes. The path that remains of a kept curve then runs through
+        its kept crossings in the order of its full linearization, filtered
+        to N[v*], which is the linearization of the restricted rotation at
+        the mapped break. The apex edges restrict the same way: what is
+        left joins the apex to the kept end nodes that the outer mode
+        names."""
+        g, rot = self.pg.graph, self.pg.rot
+        hub = min(range(self.n), key=lambda v: (-g.degree(v), v))
+        keep = sorted({hub, *g.adj[hub]})
+        if len(keep) == self.n:
+            return None
+        loc = {v: i for i, v in enumerate(keep)}
+        edges = [(loc[u], loc[v]) for u, v in g.edges if u in loc and v in loc]
+        order = [[loc[w] for w in rot.order[v] if w in loc] for v in keep]
+        sub = _Task(PlaneGraph(Graph(len(keep), edges), RotationScheme(order)), self.mode)
+        nodes, static, sub_rows = sub.gadget
+        rows = [[((), ())] * d for d in self.degrees]
+        for v, cyc, row in zip(keep, order, sub_rows):
+            full = rot.order[v]
+            firsts = [next(w for w in full[b:] + full[:b] if w in loc) for b in range(len(full))]
+            rows[v] = [row[cyc.index(loc[w])] for w in firsts] or row
+        return nodes, static, rows
 
     def _diagram(self, nodes, static, rows, mode):
         """(node count, static edges, rows[v][break][end bit]) of one
@@ -192,7 +239,9 @@ def decide_fixed(
     end_choice=None,
     gadgets: bool = True,
 ) -> bool:
-    """Planarity of the (gadgetized) diagram, plus an apex in outer modes."""
+    """Planarity of the (gadgetized) diagram, plus an apex in outer modes.
+    With gadgets, the plain and the neighbourhood diagram are tested first,
+    as in a search; a non-planar one answers False without the gadget test."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
@@ -200,36 +249,43 @@ def decide_fixed(
     t.check(breaks, ends)
     if not gadgets:
         return is_planar_edges(*t.edges(t.plain, breaks, ends))
-    return _realizable(t, _Shortcut(), breaks, ends)
+    return _realizable(t, _Shortcut(t), breaks, ends)
 
 
-COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits")
+COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "local_attempts",
+            "local_hits")
 
 
-@dataclass
 class _Shortcut:
-    """The plain-diagram shortcut's back-off within one search, and the
-    counts of the current range in the order of COUNTERS."""
+    """The minors of the gadget diagram that a search tests first, the
+    fewer edges first: the plain and the neighbourhood diagram, each with
+    the COUNTERS index of its attempts (its hits follow) and its back-off
+    [gap, skip]. Also the counts of the current range, in COUNTERS order."""
 
-    gap: int = 0
-    skip: int = 0
-    counts: list = field(default_factory=lambda: [0, 0, 0])
+    def __init__(self, task: _Task):
+        zero = [0] * task.n
+        minors = [(task.plain, 1)] + ([(task.local, 3)] if task.local else [])
+        self.minors = sorted(minors, key=lambda d: len(task.edges(d[0], zero, zero)[1]))
+        self.backoff = [[0, 0] for _ in self.minors]
+        self.counts = [0] * len(COUNTERS)
 
 
 def _realizable(task: _Task, sc: _Shortcut, breaks, ends) -> bool:
-    """Planarity of the gadget diagram for one vector. The plain diagram is
-    tested first unless the back-off in `sc` skips it."""
+    """Planarity of the gadget diagram for one vector. The minors are
+    tested first, in order, unless the back-off in `sc` skips them; a
+    non-planar minor rules the vector out."""
     counts = sc.counts
-    if sc.skip:
-        sc.skip -= 1
-    else:
+    for (diagram, i), backoff in zip(sc.minors, sc.backoff):
+        if backoff[1]:
+            backoff[1] -= 1
+            continue
         counts[0] += 1
-        counts[1] += 1
-        if not is_planar_edges(*task.edges(task.plain, breaks, ends)):
-            counts[2] += 1
-            sc.gap = 0
+        counts[i] += 1
+        if not is_planar_edges(*task.edges(diagram, breaks, ends)):
+            counts[i + 1] += 1
+            backoff[0] = 0
             return False
-        sc.gap = sc.skip = sc.gap + 2
+        backoff[0] = backoff[1] = backoff[0] + 2
     counts[0] += 1
     return is_planar_edges(*task.edges(task.gadget, breaks, ends))
 
@@ -248,7 +304,7 @@ def _scan_range(bounds):
     already has its result."""
     lo, hi = bounds
     task, sc, indices, stop = _SEARCH
-    sc.counts = [0, 0, 0]
+    sc.counts = [0] * len(COUNTERS)
     for i in range(lo, hi):
         if stop is not None and stop.value:
             break
@@ -271,7 +327,7 @@ def _ranges(span: int, chunk: int, stop=None):
 def _first_hit(results):
     """The first hit among the range results, taken in range order, and the
     counts summed up to it."""
-    counts = [0, 0, 0]
+    counts = [0] * len(COUNTERS)
     for hit, range_counts in results:
         counts = [a + b for a, b in zip(counts, range_counts)]
         if hit is not None:
@@ -321,14 +377,14 @@ def enumerate_breaks(
         indices = range(span)
 
     if jobs <= 1 or span <= chunk:
-        _init_worker((task, _Shortcut(), indices, None))
+        _init_worker((task, _Shortcut(task), indices, None))
         hit, counts = _first_hit(map(_scan_range, _ranges(span, chunk)))
     else:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         stop = ctx.RawValue("b", 0)
-        search = (task, _Shortcut(), indices, stop)
+        search = (task, _Shortcut(task), indices, stop)
         with ctx.Pool(jobs, initializer=_init_worker, initargs=(search,)) as pool:
             hit, counts = _first_hit(pool.imap(_scan_range, _ranges(span, chunk, stop)))
             # Let the ranges after the hit return at once and the workers

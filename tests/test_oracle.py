@@ -11,7 +11,13 @@ import strandkit
 from strandkit import oracle
 from strandkit.circle import build_circle
 from strandkit.errors import BudgetZero, InvalidBreak, StrandkitError
-from strandkit.families import extended_wheel, random_maximal_outerplanar, subdivided_k23
+from strandkit.families import (
+    extended_wheel,
+    random_maximal_outerplanar,
+    random_planar_3tree,
+    subdivided_k23,
+    triple_stellation,
+)
 from strandkit.graphs import Graph, PlaneGraph, RotationScheme, is_planar
 from strandkit.oracle import (
     BOTH_ENDS,
@@ -177,8 +183,6 @@ def test_gadgets_are_load_bearing():
     # the plain planarity criterion over-accepts: on small planar 3-trees
     # some break vectors are plain-planar yet gadget-nonplanar (a planar
     # embedding of plain H can fake a crossing with a touching rotation)
-    from strandkit.families import random_planar_3tree
-
     rng = random.Random(0)
     saw_difference = False
     for s in range(10):
@@ -211,36 +215,112 @@ def test_counters_not_in_verdict_json():
 
 
 def test_shortcut_back_off(monkeypatch):
-    # a scripted plain test: vectors 8..11 are hits, every other vector a
-    # miss, and every gadget test non-planar, so the scan covers all 30
+    # a scripted test per diagram, told apart by node count: the plain
+    # diagram rules out vectors 8..11, the neighbourhood diagram vectors 19
+    # and 20, every other minor test is a miss, and every gadget test is
+    # non-planar, so the scan covers all 30
     pg = extended_wheel(3)
     g = pg.graph
-    gadget_nodes = 2 * g.n + 5 * g.edge_count
+    plain_nodes = 2 * g.n + g.edge_count + 1  # with the apex
+    gadget_nodes = 2 * g.n + 5 * g.edge_count + 1
+    assert oracle._Task(pg, BOTH_ENDS).local[0] not in (plain_nodes, gadget_nodes)
     vector = [0]
-    attempts = []
+    attempts = {"plain": [], "local": []}
+    hits = {"plain": range(8, 12), "local": (19, 20)}
 
     def fake(n, edges):
-        if n >= gadget_nodes:
+        if n == gadget_nodes:
             vector[0] += 1
             return False
-        attempts.append(vector[0])
-        if 8 <= vector[0] <= 11:
+        kind = "plain" if n == plain_nodes else "local"
+        attempts[kind].append(vector[0])
+        if vector[0] in hits[kind]:
             vector[0] += 1
             return False
         return True
 
     monkeypatch.setattr(oracle, "is_planar_edges", fake)
     v = enumerate_breaks(pg, BOTH_ENDS, limit=30, chunk=7)
-    # gaps 2, 4 after the misses at 0 and 3; the hits reset the gap to 0
-    assert attempts == [0, 3, 8, 9, 10, 11, 12, 15, 20, 27]
+    # each minor's gap grows 2, 4, 6, ... over its misses and a hit resets
+    # it; the neighbourhood diagram runs only where the plain one misses or
+    # is skipped
+    assert attempts == {"plain": [0, 3, 8, 9, 10, 11, 12, 15, 20, 27],
+                        "local": [0, 3, 12, 19, 20, 21, 24, 29]}
     assert (v.status, v.tried) == ("unknown", 30)
-    assert v.counters == {"planarity_calls": 10 + 26, "shortcut_attempts": 10,
-                          "shortcut_hits": 4}
-    # decide_fixed always tries the plain diagram first
-    attempts.clear()
+    assert v.counters == {"planarity_calls": 10 + 8 + 24, "shortcut_attempts": 10,
+                          "shortcut_hits": 4, "local_attempts": 8, "local_hits": 2}
+    # decide_fixed always tries both minors first
+    attempts = {"plain": [], "local": []}
     vector[0] = 0
     assert not decide_fixed(pg, [0] * g.n, BOTH_ENDS)
-    assert attempts == [0]
+    assert attempts == {"plain": [0], "local": [0]}
+
+
+def induced(pg, keep, breaks, ends):
+    """The plane graph induced on the sorted vertex list `keep`, renumbered
+    in that order, with each kept vertex's break moved to its first kept
+    neighbour at or after the break, and its end bit."""
+    g, rot = pg.graph, pg.rot
+    loc = {v: i for i, v in enumerate(keep)}
+    sub = PlaneGraph(
+        Graph(len(keep), [(loc[u], loc[v]) for u, v in g.edges if u in loc and v in loc]),
+        RotationScheme([[loc[w] for w in rot.order[v] if w in loc] for v in keep]))
+    sub_breaks = []
+    for v in keep:
+        cyc = rot.order[v]
+        kept = [w for w in cyc[breaks[v]:] + cyc[:breaks[v]] if w in loc]
+        sub_breaks.append(sub.rot.order[loc[v]].index(loc[kept[0]]) if kept else 0)
+    return sub, sub_breaks, [ends[v] for v in keep]
+
+
+def check_local(pg, mode, vectors):
+    """The neighbourhood diagram of each (breaks, ends) is the gadget
+    diagram of the plane graph induced on N[v*], and refutes only vectors
+    that the gadget diagram refutes. Returns how many it refutes, or None
+    when N[v*] is every vertex."""
+    g = pg.graph
+    task = oracle._Task(pg, mode)
+    hub = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    keep = sorted({hub, *g.adj[hub]})
+    if len(keep) == g.n:
+        assert task.local is None
+        return None
+    refuted = 0
+    for breaks, ends in vectors:
+        sub, sub_breaks, sub_ends = induced(pg, keep, breaks, ends)
+        local = task.edges(task.local, breaks, ends)
+        want = oracle._Task(sub, mode)
+        assert local == want.edges(want.gadget, sub_breaks, sub_ends)
+        if not is_planar_edges(*local):
+            refuted += 1
+            assert not is_planar_edges(*task.edges(task.gadget, breaks, ends))
+    return refuted
+
+
+def random_vectors(pg, count, rng):
+    g = pg.graph
+    return [([rng.randrange(max(1, g.degree(v))) for v in range(g.n)],
+             [rng.randrange(2) for _ in range(g.n)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_local_diagram_atlas(mode):
+    rng = random.Random(4)
+    built = refuted = 0
+    for pg in atlas_plane_graphs(6):
+        r = check_local(pg, mode, random_vectors(pg, 12, rng))
+        if r is not None:
+            built += 1
+            refuted += r
+    # N[v*] is every vertex in the other 43 of the 193 graphs
+    assert built == 150 and refuted > 0, (built, refuted)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_local_diagram_thm2(seed):
+    # the neighbourhood of a maximum-degree vertex refutes every sample
+    pg = triple_stellation(random_planar_3tree(6, seed))
+    assert check_local(pg, None, random_vectors(pg, 50, random.Random(seed))) == 50
 
 
 def brute_force(pg, mode):
@@ -285,8 +365,9 @@ def check_against_brute_force(pg, mode):
             v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
             assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
             c = v.counters
-            # each vector is a plain hit or ends in one gadget call
-            assert c["planarity_calls"] == c["shortcut_attempts"] + v.tried - c["shortcut_hits"]
+            # each vector is a minor's hit or ends in one gadget call
+            assert c["planarity_calls"] == (c["shortcut_attempts"] + c["local_attempts"] + v.tried
+                                            - c["shortcut_hits"] - c["local_hits"])
     return v
 
 

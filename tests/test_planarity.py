@@ -6,7 +6,7 @@ import pytest
 
 from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
 from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
-from strandkit.oracle import build_H
+from strandkit.oracle import _Task, build_H
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
 
@@ -219,11 +219,14 @@ def test_k23_diagrams_against_networkx():
 
 
 def test_thm2_diagrams_against_networkx():
-    # sampled Thm-2 vectors: plain H is planar, gadget H is not
+    # sampled Thm-2 vectors: plain H is planar, the neighbourhood diagram
+    # and gadget H are not
     pg = triple_stellation(random_planar_3tree(6, 1))
     g = pg.graph
+    task = _Task(pg, None)
     rng = random.Random(2)
     for _ in range(50):
         breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
         assert check_against_networkx(*diagram_edges(pg, breaks, False, False))
+        assert not check_against_networkx(*task.edges(task.local, breaks, [0] * g.n))
         assert not check_against_networkx(*diagram_edges(pg, breaks, True, False))
