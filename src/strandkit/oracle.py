@@ -8,30 +8,35 @@ a planar embedding cannot cheat with a touching (u,u,v,v) rotation. Only
 (`gadgets=False`), which over-accepts; searches always use gadgets.
 Outer-string variants add an apex adjacent to the required end nodes.
 
-`build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`: the
-plain and the gadget diagram of a plane graph in one outer mode, laid out
-once as static edges plus one edge tuple per (vertex, break, end bit).
-`decide_fixed` and searches also lay out the neighbourhood diagram in that
-form: the gadget diagram of the plane graph induced on the closed
-neighbourhood N[v*] of a maximum-degree vertex v*.
+`build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`, a
+plane graph in one outer mode. It lays out the plain and the gadget diagram
+on first use, as static edges plus one edge tuple per (vertex, break, end
+bit), and `_Task.induced` lays out in that form the gadget diagram of the
+plane graph induced on any vertex set.
 
 Enumeration walks the mixed-radix space of all break vectors (times the
 end choices in one-end mode), optionally in parallel over fixed-size chunks;
 verdicts are independent of the worker count.
 
-The plain and the neighbourhood diagram are minors of the gadget diagram, so
-either one, when non-planar, rules a vector out at a fraction of the cost. A
-search tests them first, the one with fewer edges first. The plain diagram
-hits often on the subdivided K_{2,3} and W_7^+ and never on the Thm-2
-instance; there the neighbourhood diagram has ruled out every sampled vector,
-in about a third of the gadget test's time. A minor that rarely hits is pure
-overhead, so each one backs off on its own: after a miss (minor planar) it
-is skipped for the next 2, 4, 6, ... vectors over consecutive misses, about
-sqrt(N) tests over N misses, and a hit resets the gap to 0. The gap does not
-double, because in canonical order hits come in runs that a doubling gap
-jumps over. The gadget test alone accepts a vector, so no verdict depends on
-the minors or their back-off. `Verdict.counters` holds the planarity calls
-and each minor's attempts and hits, summed over the workers.
+The plain diagram and every induced diagram are minors of the gadget
+diagram, so a non-planar one rules a vector out at a fraction of the cost.
+A search first tests the plain diagram and a ladder of prefix diagrams, the
+fewer edges first. The ladder's rungs are the induced diagrams of the first
+4, 8, 16, ... vertices (fewer than n) in the canonical most-significant-digit
+order, the highest degree first; a prefix that spans no edge is left out,
+since its diagram is planar for every vector. Each rung is laid out on its
+first test. The plain diagram hits often on the subdivided K_{2,3} and W_7^+
+and never on the Thm-2 instance. There the rungs of 8 and 16 vertices have
+ruled out every sampled vector, at a tenth of a gadget test's cost or less,
+so neither the plain nor the gadget diagram is tested or laid out. A
+minor that rarely hits is pure overhead, so each one backs off on its own:
+after a miss (minor planar) it is skipped for the next 2, 4, 6, ... vectors
+over consecutive misses, about sqrt(N) tests over N misses, and a hit resets
+the gap to 0. The gap does not double, because in canonical order hits come
+in runs that a doubling gap jumps over. The gadget test alone accepts a
+vector, so no verdict depends on the minors or their back-off.
+`Verdict.counters` holds the planarity calls, the plain diagram's attempts
+and hits, and the rungs' attempts and hits, summed over the workers.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ class Verdict:
 
 
 class _Task:
-    """A plane graph's plain and gadget diagram in one outer mode, each a
-    triple (node count, static edges, rows) with H(breaks, ends) = static
-    edges + rows[v][breaks[v]][ends[v]] over the vertices v.
+    """A plane graph's diagrams in one outer mode, each a triple (node count,
+    static edges, rows) with H(breaks, ends) = static edges +
+    rows[v][breaks[v]][ends[v]] over the vertices v. The plain and the gadget
+    diagram are laid out on first use; `induced` lays out the gadget diagram
+    of an induced plane subgraph in the same form.
 
     Vertex v's curve runs from node 2v to node 2v+1. The two diagrams differ
     only in their port rule: crossing i (edge i) is node 2n+i, or a 4-wheel
@@ -94,10 +101,10 @@ class _Task:
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = _norm_mode(mode)
-        g, rot = pg.graph, pg.rot
-        rot.validate(g)
-        n, m = g.n, g.edge_count
-        self.n = n
+        g = pg.graph
+        pg.rot.validate(g)
+        n = g.n
+        self.pg, self.mode, self.n = pg, mode, n
         self.degrees = [max(1, g.degree(v)) for v in range(n)]
         self.one_end = mode == ONE_END
         # end bits are the least significant digits of an index, then the
@@ -105,64 +112,70 @@ class _Task:
         self.end_radix = 1 << n if self.one_end else 1
         self.digits = sorted(range(n), key=lambda v: (-self.degrees[v], v))[::-1]
         self.total = math.prod(self.degrees) * self.end_radix
+
+    @cached_property
+    def plain(self):
+        return self._layout(False)
+
+    @cached_property
+    def gadget(self):
+        return self._layout(True)
+
+    def _layout(self, gadgets: bool):
+        """The gadget diagram, or the plain one."""
+        g, rot = self.pg.graph, self.pg.rot
+        n, m = g.n, g.edge_count
+        width = 5 if gadgets else 1
         eid = {}
         for i, (u, v) in enumerate(g.edges):
             eid[(u, v)] = eid[(v, u)] = i
         base = 2 * n
         wheels = []
-        for hub in range(base, base + 5 * m, 5):
-            r = [hub + 1, hub + 2, hub + 3, hub + 4]
-            wheels += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
-            wheels += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
-        plain_rows, gadget_rows = [], []
+        if gadgets:
+            for hub in range(base, base + 5 * m, 5):
+                r = [hub + 1, hub + 2, hub + 3, hub + 4]
+                wheels += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
+                wheels += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
+        rows = []
         for v in range(n):
             cyc = rot.order[v]
-            plain_rows.append([])
-            gadget_rows.append([])
+            rows.append([])
             for lin in [cyc[b:] + cyc[:b] for b in range(len(cyc))] or [()]:
-                plain, gadget = [], []
-                p = q = 2 * v
+                path, p = [], 2 * v
                 for w in lin:
-                    i = eid[(v, w)]
-                    rim = base + 5 * i + (1 if v < w else 2)
-                    plain.append((p, base + i))
-                    gadget.append((q, rim))
-                    p, q = base + i, rim + 2
-                plain.append((p, 2 * v + 1))
-                gadget.append((q, 2 * v + 1))
-                plain_rows[v].append(tuple(plain))
-                gadget_rows[v].append(tuple(gadget))
-        self.plain = self._diagram(base + m, [], plain_rows, mode)
-        self.gadget = self._diagram(base + 5 * m, wheels, gadget_rows, mode)
-        self.pg, self.mode = pg, mode
+                    x = base + width * eid[(v, w)]
+                    if gadgets:
+                        x += 1 if v < w else 2
+                    path.append((p, x))
+                    p = x + 2 if gadgets else x
+                path.append((p, 2 * v + 1))
+                rows[v].append(tuple(path))
+        return self._diagram(base + width * m, wheels, rows)
 
-    @cached_property
-    def local(self):
-        """The neighbourhood diagram, or None when N[v*] is every vertex: the
-        gadget diagram that `_Task` lays out for the plane graph induced on
-        the closed neighbourhood N[v*] of a maximum-degree vertex v* (least
-        id on ties), its vertices numbered in increasing order. Each kept
-        vertex keeps its clockwise order restricted to N[v*], and its row
-        for break b is the induced row whose break is the first neighbour at
-        or after b in N[v*]; it keeps its end bit. Vertices outside N[v*]
-        add no edges.
+    def induced(self, keep):
+        """The gadget diagram that `_Task` lays out for the plane graph
+        induced on the vertex set `keep`, its vertices numbered in increasing
+        order, in the rows of this task. Each kept vertex keeps its clockwise
+        order restricted to `keep`, and its row for break b is the induced
+        row whose break is the first kept neighbour at or after b; a kept
+        vertex with no kept neighbour has one row, its curve's single path
+        edge, for every break. A kept vertex keeps its end bit. Other
+        vertices add no edges.
 
-        It is a minor of the gadget diagram, so a non-planar neighbourhood
-        diagram rules the vector out. Delete the curves of the vertices
-        outside N[v*], their end nodes, and the wheels of their crossings
-        with each other. A wheel crossed by one kept curve only contracts
-        to a point on that curve's path, which one more contraction
-        removes. The path that remains of a kept curve then runs through
-        its kept crossings in the order of its full linearization, filtered
-        to N[v*], which is the linearization of the restricted rotation at
-        the mapped break. The apex edges restrict the same way: what is
-        left joins the apex to the kept end nodes that the outer mode
-        names."""
+        For every vector it is a minor of the gadget diagram, whatever the
+        set S = `keep`, so a non-planar induced diagram rules the vector out.
+        Delete the curves of the vertices outside S, their end nodes, and the
+        wheels of their crossings with each other. A wheel crossed by one
+        kept curve only contracts to a point on that curve's path, which one
+        more contraction removes. The path that remains of a kept curve then
+        runs through its kept crossings in the order of its full
+        linearization, filtered to S, which is the linearization of the
+        restricted rotation at the mapped break; with no kept crossing it is
+        one edge between the curve's end nodes. The apex edges restrict the
+        same way: what is left joins the apex to the kept end nodes that the
+        outer mode names."""
         g, rot = self.pg.graph, self.pg.rot
-        hub = min(range(self.n), key=lambda v: (-g.degree(v), v))
-        keep = sorted({hub, *g.adj[hub]})
-        if len(keep) == self.n:
-            return None
+        keep = sorted(keep)
         loc = {v: i for i, v in enumerate(keep)}
         edges = [(loc[u], loc[v]) for u, v in g.edges if u in loc and v in loc]
         order = [[loc[w] for w in rot.order[v] if w in loc] for v in keep]
@@ -170,22 +183,33 @@ class _Task:
         nodes, static, sub_rows = sub.gadget
         rows = [[((), ())] * d for d in self.degrees]
         for v, cyc, row in zip(keep, order, sub_rows):
+            if not cyc:
+                rows[v] = row * self.degrees[v]
+                continue
             full = rot.order[v]
             firsts = [next(w for w in full[b:] + full[:b] if w in loc) for b in range(len(full))]
-            rows[v] = [row[cyc.index(loc[w])] for w in firsts] or row
+            rows[v] = [row[cyc.index(loc[w])] for w in firsts]
         return nodes, static, rows
 
-    def _diagram(self, nodes, static, rows, mode):
+    def edge_count(self, n: int, m: int, gadgets: bool) -> int:
+        """Edges of one vector's plain or gadget diagram, in this task's
+        mode, of a plane graph with n vertices and m edges: a curve's path
+        has its degree + 1 edges, a wheel 8, and the apex one per end node
+        that the mode joins it to."""
+        apex = {None: 0, ONE_END: 1, BOTH_ENDS: 2}[self.mode]
+        return (10 if gadgets else 2) * m + (1 + apex) * n
+
+    def _diagram(self, nodes, static, rows):
         """(node count, static edges, rows[v][break][end bit]) of one
         diagram, with the apex of an outer mode as node `nodes`."""
         a = nodes
         tips = [((), ())] * self.n
-        if mode == BOTH_ENDS:
+        if self.mode == BOTH_ENDS:
             static = static + [(a, t) for t in range(2 * self.n)]
-        elif mode == ONE_END:
+        elif self.mode == ONE_END:
             tips = [(((a, 2 * v),), ((a, 2 * v + 1),)) for v in range(self.n)]
         rows = [[(p + tip[0], p + tip[1]) for p in row] for row, tip in zip(rows, tips)]
-        return nodes + (mode is not None), tuple(static), rows
+        return nodes + (self.mode is not None), tuple(static), rows
 
     @staticmethod
     def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
@@ -240,8 +264,11 @@ def decide_fixed(
     gadgets: bool = True,
 ) -> bool:
     """Planarity of the (gadgetized) diagram, plus an apex in outer modes.
-    With gadgets, the plain and the neighbourhood diagram are tested first,
-    as in a search; a non-planar one answers False without the gadget test."""
+    With gadgets, the plain diagram and every rung of the prefix ladder are
+    tested first, as in a search; a non-planar one answers False without the
+    gadget test. A single decision has no back-off, so it climbs the whole
+    ladder: on a YES that costs at most about one extra gadget test, since
+    the rungs' sizes roughly double."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
@@ -252,20 +279,35 @@ def decide_fixed(
     return _realizable(t, _Shortcut(t), breaks, ends)
 
 
-COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "local_attempts",
-            "local_hits")
+COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
+            "prefix_hits")
+
+FIRST_RUNG = 4  # the ladder's prefixes have 4, 8, 16, ... vertices, each below n
 
 
 class _Shortcut:
     """The minors of the gadget diagram that a search tests first, the
-    fewer edges first: the plain and the neighbourhood diagram, each with
-    the COUNTERS index of its attempts (its hits follow) and its back-off
-    [gap, skip]. Also the counts of the current range, in COUNTERS order."""
+    fewer edges first: the plain diagram and the rungs of the prefix
+    ladder, the induced diagrams of the first 4, 8, 16, ... vertices (fewer
+    than n) in the canonical most-significant-digit order, where they span
+    an edge. Each minor is [COUNTERS index of its attempts (its hits
+    follow), its prefix or None for the plain diagram, its diagram once laid
+    out], with its back-off [gap, skip]. Also the counts of the current
+    range, in COUNTERS order."""
 
     def __init__(self, task: _Task):
-        zero = [0] * task.n
-        minors = [(task.plain, 1)] + ([(task.local, 3)] if task.local else [])
-        self.minors = sorted(minors, key=lambda d: len(task.edges(d[0], zero, zero)[1]))
+        g = task.pg.graph
+        order = task.digits[::-1]
+        rank = {v: i for i, v in enumerate(order)}
+        sized = [(task.edge_count(task.n, g.edge_count, False), [1, None, None])]
+        k = FIRST_RUNG
+        while k < task.n:
+            m = sum(max(rank[u], rank[v]) < k for u, v in g.edges)
+            if m:  # without an edge, every vector's diagram is planar: paths and an apex
+                sized.append((task.edge_count(k, m, True), [3, order[:k], None]))
+            k *= 2
+        sized.sort(key=lambda s: s[0])
+        self.minors = [minor for _size, minor in sized]
         self.backoff = [[0, 0] for _ in self.minors]
         self.counts = [0] * len(COUNTERS)
 
@@ -275,10 +317,13 @@ def _realizable(task: _Task, sc: _Shortcut, breaks, ends) -> bool:
     tested first, in order, unless the back-off in `sc` skips them; a
     non-planar minor rules the vector out."""
     counts = sc.counts
-    for (diagram, i), backoff in zip(sc.minors, sc.backoff):
+    for minor, backoff in zip(sc.minors, sc.backoff):
         if backoff[1]:
             backoff[1] -= 1
             continue
+        i, keep, diagram = minor
+        if diagram is None:
+            diagram = minor[2] = task.plain if keep is None else task.induced(keep)
         counts[0] += 1
         counts[i] += 1
         if not is_planar_edges(*task.edges(diagram, breaks, ends)):

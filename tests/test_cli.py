@@ -203,21 +203,23 @@ def test_oracle_counters_in_manifest(tmp_path):
     assert main(["--manifest", str(mf), "oracle", str(g), "--mode", "both-ends",
                  "--out", str(tmp_path / "v.json")]) == 0
     # plain H rules out every vector, so the shortcut runs on each of them;
-    # the neighbourhood diagram has fewer edges, goes first, never rules a
-    # vector out and backs off to 67 tests
+    # the ladder's P_4 spans no edge, so it is no rung, and P_8 comes after
+    # the plain diagram
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
-        "planarity_calls": 4608 + 67, "shortcut_attempts": 4608, "shortcut_hits": 4608,
-        "local_attempts": 67, "local_hits": 0}
+        "planarity_calls": 4608, "shortcut_attempts": 4608, "shortcut_hits": 4608,
+        "prefix_attempts": 0, "prefix_hits": 0}
     verdict = json.loads((tmp_path / "v.json").read_text())
     assert set(verdict) == {"status", "witness", "witness_ends", "tried", "total",
                             "elapsed_ms"}
     assert main(["--manifest", str(mf), "repro", "thm2-sample", "--samples", "20",
                  "--out", str(tmp_path / "t.json")]) == 0
-    # Thm-2: plain H never rules a vector out (probes at 0, 3, 8 and 15), and
-    # the neighbourhood diagram rules out every one, so no gadget test runs
+    # Thm-2: the rungs P_4, P_8 and P_16 come before plain H and rule out
+    # every vector, so neither plain H nor gadget H is tested; P_4 misses and
+    # backs off (4 tests), P_8 rules out 17 vectors in 18 tests, and P_16
+    # rules out the 3 vectors where P_8 missed or was skipped
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
-        "planarity_calls": 24, "shortcut_attempts": 4, "shortcut_hits": 0,
-        "local_attempts": 20, "local_hits": 20}
+        "planarity_calls": 25, "shortcut_attempts": 0, "shortcut_hits": 0,
+        "prefix_attempts": 25, "prefix_hits": 20}
 
 
 def test_sp_build_and_oracle(tmp_path):

@@ -216,23 +216,25 @@ def test_counters_not_in_verdict_json():
 
 def test_shortcut_back_off(monkeypatch):
     # a scripted test per diagram, told apart by node count: the plain
-    # diagram rules out vectors 8..11, the neighbourhood diagram vectors 19
-    # and 20, every other minor test is a miss, and every gadget test is
+    # diagram rules out vectors 8..11, the ladder's one rung (P_4, fewer
+    # edges than the gadget diagram, more than the plain one) vectors 19 and
+    # 20, every other minor test is a miss, and every gadget test is
     # non-planar, so the scan covers all 30
     pg = extended_wheel(3)
     g = pg.graph
     plain_nodes = 2 * g.n + g.edge_count + 1  # with the apex
+    rung_nodes = 2 * 4 + 5 * 6 + 1  # P_4 is the rim and the hub, a K_4
     gadget_nodes = 2 * g.n + 5 * g.edge_count + 1
-    assert oracle._Task(pg, BOTH_ENDS).local[0] not in (plain_nodes, gadget_nodes)
+    kinds = {plain_nodes: "plain", rung_nodes: "prefix"}
     vector = [0]
-    attempts = {"plain": [], "local": []}
-    hits = {"plain": range(8, 12), "local": (19, 20)}
+    attempts = {"plain": [], "prefix": []}
+    hits = {"plain": range(8, 12), "prefix": (19, 20)}
 
     def fake(n, edges):
         if n == gadget_nodes:
             vector[0] += 1
             return False
-        kind = "plain" if n == plain_nodes else "local"
+        kind = kinds[n]
         attempts[kind].append(vector[0])
         if vector[0] in hits[kind]:
             vector[0] += 1
@@ -242,18 +244,17 @@ def test_shortcut_back_off(monkeypatch):
     monkeypatch.setattr(oracle, "is_planar_edges", fake)
     v = enumerate_breaks(pg, BOTH_ENDS, limit=30, chunk=7)
     # each minor's gap grows 2, 4, 6, ... over its misses and a hit resets
-    # it; the neighbourhood diagram runs only where the plain one misses or
-    # is skipped
+    # it; the rung runs only where the plain diagram misses or is skipped
     assert attempts == {"plain": [0, 3, 8, 9, 10, 11, 12, 15, 20, 27],
-                        "local": [0, 3, 12, 19, 20, 21, 24, 29]}
+                        "prefix": [0, 3, 12, 19, 20, 21, 24, 29]}
     assert (v.status, v.tried) == ("unknown", 30)
     assert v.counters == {"planarity_calls": 10 + 8 + 24, "shortcut_attempts": 10,
-                          "shortcut_hits": 4, "local_attempts": 8, "local_hits": 2}
-    # decide_fixed always tries both minors first
-    attempts = {"plain": [], "local": []}
+                          "shortcut_hits": 4, "prefix_attempts": 8, "prefix_hits": 2}
+    # decide_fixed always tries every minor first
+    attempts = {"plain": [], "prefix": []}
     vector[0] = 0
     assert not decide_fixed(pg, [0] * g.n, BOTH_ENDS)
-    assert attempts == {"plain": [0], "local": [0]}
+    assert attempts == {"plain": [0], "prefix": [0]}
 
 
 def induced(pg, keep, breaks, ends):
@@ -273,28 +274,52 @@ def induced(pg, keep, breaks, ends):
     return sub, sub_breaks, [ends[v] for v in keep]
 
 
-def check_local(pg, mode, vectors):
-    """The neighbourhood diagram of each (breaks, ends) is the gadget
-    diagram of the plane graph induced on N[v*], and refutes only vectors
-    that the gadget diagram refutes. Returns how many it refutes, or None
-    when N[v*] is every vertex."""
+def canonical_order(g):
+    """The vertices, the highest degree first and the least id on ties."""
+    return sorted(range(g.n), key=lambda v: (-max(1, g.degree(v)), v))
+
+
+def ladder(pg, mode):
+    """The vertex sets of the search's prefix rungs, checked against their
+    definition: the first 4, 8, 16, ... vertices in canonical order, fewer
+    than n, where they span an edge."""
     g = pg.graph
+    order = canonical_order(g)
+    want = []
+    k = 4
+    while k < g.n:
+        if any(u in order[:k] and v in order[:k] for u, v in g.edges):
+            want.append(order[:k])
+        k *= 2
+    minors = oracle._Shortcut(oracle._Task(pg, mode)).minors
+    assert sorted((keep for _i, keep, _d in minors if keep is not None), key=len) == want
+    return want
+
+
+def check_induced(pg, mode, keeps, vectors):
+    """The induced diagram of each vertex set in `keeps`, for each (breaks,
+    ends), is the gadget diagram of the induced plane graph, and refutes
+    only vectors that the gadget diagram refutes. Returns, per vector, the
+    sizes of the refuting sets."""
     task = oracle._Task(pg, mode)
-    hub = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    keep = sorted({hub, *g.adj[hub]})
-    if len(keep) == g.n:
-        assert task.local is None
-        return None
-    refuted = 0
+    zero = [0] * pg.graph.n
+    cases = []
+    for keep in map(sorted, keeps):
+        sub = induced(pg, keep, zero, zero)[0]
+        cases.append((keep, task.induced(keep), oracle._Task(sub, mode)))
+    refuting = []
     for breaks, ends in vectors:
-        sub, sub_breaks, sub_ends = induced(pg, keep, breaks, ends)
-        local = task.edges(task.local, breaks, ends)
-        want = oracle._Task(sub, mode)
-        assert local == want.edges(want.gadget, sub_breaks, sub_ends)
-        if not is_planar_edges(*local):
-            refuted += 1
+        sizes = []
+        for keep, diagram, want in cases:
+            _sub, sub_breaks, sub_ends = induced(pg, keep, breaks, ends)
+            got = task.edges(diagram, breaks, ends)
+            assert got == want.edges(want.gadget, sub_breaks, sub_ends)
+            if not is_planar_edges(*got):
+                sizes.append(len(keep))
+        if sizes:
             assert not is_planar_edges(*task.edges(task.gadget, breaks, ends))
-    return refuted
+        refuting.append(sizes)
+    return refuting
 
 
 def random_vectors(pg, count, rng):
@@ -305,22 +330,33 @@ def random_vectors(pg, count, rng):
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_local_diagram_atlas(mode):
+    # the ladder's rungs, and every other proper prefix of the canonical
+    # order, which a prefix search would test
     rng = random.Random(4)
-    built = refuted = 0
+    rungs = isolated = refuted = 0
     for pg in atlas_plane_graphs(6):
-        r = check_local(pg, mode, random_vectors(pg, 12, rng))
-        if r is not None:
-            built += 1
-            refuted += r
-    # N[v*] is every vertex in the other 43 of the 193 graphs
-    assert built == 150 and refuted > 0, (built, refuted)
+        g = pg.graph
+        rung_sets = ladder(pg, mode)
+        keeps = [canonical_order(g)[:k] for k in range(1, g.n)]
+        refuting = check_induced(pg, mode, keeps, random_vectors(pg, 12, rng))
+        # the ladder leaves out a prefix with no edge: it never refutes
+        spans = [any(u in keep and v in keep for u, v in g.edges) for keep in keeps]
+        assert all(spans[k - 1] for sizes in refuting for k in sizes)
+        rungs += len(rung_sets)
+        # a kept vertex with no kept neighbour has one row for every break
+        isolated += sum(any(not set(g.adj[v]) & set(keep) for v in keep) for keep in rung_sets)
+        refuted += sum(4 in sizes for sizes in refuting)
+    # P_4 is the one possible rung of the 5- and 6-vertex graphs
+    assert (rungs, isolated) == (171, 21) and refuted > 0, (rungs, isolated, refuted)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_local_diagram_thm2(seed):
-    # the neighbourhood of a maximum-degree vertex refutes every sample
+    # a rung of at most 16 vertices refutes every sample
     pg = triple_stellation(random_planar_3tree(6, seed))
-    assert check_local(pg, None, random_vectors(pg, 50, random.Random(seed))) == 50
+    vectors = random_vectors(pg, 50, random.Random(seed))
+    refuting = check_induced(pg, None, ladder(pg, None), vectors)
+    assert all(sizes and min(sizes) <= 16 for sizes in refuting), refuting
 
 
 def brute_force(pg, mode):
@@ -366,8 +402,8 @@ def check_against_brute_force(pg, mode):
             assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
             c = v.counters
             # each vector is a minor's hit or ends in one gadget call
-            assert c["planarity_calls"] == (c["shortcut_attempts"] + c["local_attempts"] + v.tried
-                                            - c["shortcut_hits"] - c["local_hits"])
+            assert c["planarity_calls"] == (c["shortcut_attempts"] + c["prefix_attempts"]
+                                            + v.tried - c["shortcut_hits"] - c["prefix_hits"])
     return v
 
 

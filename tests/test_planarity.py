@@ -6,7 +6,7 @@ import pytest
 
 from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
 from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
-from strandkit.oracle import _Task, build_H
+from strandkit.oracle import _Shortcut, _Task, build_H
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
 
@@ -219,14 +219,18 @@ def test_k23_diagrams_against_networkx():
 
 
 def test_thm2_diagrams_against_networkx():
-    # sampled Thm-2 vectors: plain H is planar, the neighbourhood diagram
-    # and gadget H are not
+    # sampled Thm-2 vectors: plain H is planar, gadget H is not, and neither
+    # is a prefix rung of at most 16 vertices
     pg = triple_stellation(random_planar_3tree(6, 1))
     g = pg.graph
     task = _Task(pg, None)
+    rungs = [task.induced(keep) for _i, keep, _d in _Shortcut(task).minors
+             if keep is not None and len(keep) <= 16]
+    assert len(rungs) == 3
     rng = random.Random(2)
     for _ in range(50):
         breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
         assert check_against_networkx(*diagram_edges(pg, breaks, False, False))
-        assert not check_against_networkx(*task.edges(task.local, breaks, [0] * g.n))
+        planar = [check_against_networkx(*task.edges(rung, breaks, [0] * g.n)) for rung in rungs]
+        assert not all(planar)
         assert not check_against_networkx(*diagram_edges(pg, breaks, True, False))
