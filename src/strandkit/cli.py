@@ -205,6 +205,8 @@ def _build(run: _Run, kind: str, g: Graph, trace: bool = False, frame: str = "or
 
 
 def _cmd_build(run: _Run, args) -> int:
+    if args.frame == "diag" and args.kind != "vpg":
+        raise StrandkitError(f"--frame diag needs the vpg constructor, not {args.kind}")
     g, _rot = run.read_graph(args.graph)
     b, rep, ok, reports = _build(run, args.kind, g, args.trace, args.frame)
     if not ok:
@@ -220,7 +222,7 @@ def _cmd_build(run: _Run, args) -> int:
     run.write(args.out, jsonio.dumps(payload))
     if args.svg:
         overlays = None
-        if args.kind == "vpg" and args.trace and args.frame == "diag":
+        if args.trace and args.frame == "diag":
             overlays = [
                 (f"region {r.edge[0]}-{r.edge[1]}",
                  [r.hyp_world()[0], r.hyp_world()[1], r.apex_world()])

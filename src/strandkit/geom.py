@@ -526,6 +526,8 @@ class _PolyIndex(_Grid):
 
     def __init__(self, w: PolylineWitness, shift: int):
         self.segs = w.segments()
+        if not self.segs:
+            raise DegenerateSegment("witness has no segment")
         if any(a == b for a, b in self.segs):
             raise DegenerateSegment("witness repeats a point")
         self.shift = shift

@@ -9,10 +9,11 @@ a planar embedding cannot cheat with a touching (u,u,v,v) rotation. Only
 Outer-string variants add an apex adjacent to the required end nodes.
 
 `build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`, a
-plane graph in one outer mode. It lays out the plain and the gadget diagram
-on first use, as static edges plus one edge tuple per (vertex, break, end
-bit), and `_Task.induced` lays out in that form the gadget diagram of the
-plane graph induced on any vertex set.
+plane graph in one outer mode. Its one diagram builder, `_Task.layout`, lays
+out the plain or the gadget diagram of the plane graph induced on any vertex
+set, all vertices included, as static edges plus one edge tuple per (vertex,
+break, end bit). The rows are indexed by the full break of each vertex, so a
+search over any vertex set needs no map of its breaks.
 
 Enumeration walks the mixed-radix space of all break vectors (times the
 end choices in one-end mode), optionally in parallel over fixed-size chunks;
@@ -49,7 +50,7 @@ from functools import cached_property
 
 from .errors import BudgetZero, InvalidBreak, StrandkitError
 from .geom import BOTH_ENDS, ONE_END
-from .graphs import Graph, PlaneGraph, RotationScheme
+from .graphs import PlaneGraph
 from .planarity import is_planar_edges
 
 
@@ -87,17 +88,20 @@ class Verdict:
 class _Task:
     """A plane graph's diagrams in one outer mode, each a triple (node count,
     static edges, rows) with H(breaks, ends) = static edges +
-    rows[v][breaks[v]][ends[v]] over the vertices v. The plain and the gadget
-    diagram are laid out on first use; `induced` lays out the gadget diagram
-    of an induced plane subgraph in the same form.
+    rows[v][breaks[v]][ends[v]] over the vertices v. `layout` is the one
+    builder: it lays out the plain or the gadget diagram of the plane graph
+    induced on any vertex set, in rows indexed by this task's breaks. The
+    gadget diagram of all vertices is cached as `gadget`.
 
-    Vertex v's curve runs from node 2v to node 2v+1. The two diagrams differ
-    only in their port rule: crossing i (edge i) is node 2n+i, or a 4-wheel
-    with hub 2n+5i whose rim the curve of v enters and leaves at nodes 1 and
-    3 (v < w) or 2 and 4 (v > w) past the hub. An outer mode puts an apex
-    after a diagram's last node, joined to both ends of every curve by static
-    edges, or in one-end mode to the end that each vertex's end bit picks;
-    other modes ignore the end bits."""
+    The kept vertices, crossings (kept edges) and the apex are numbered in
+    increasing order: the i-th kept vertex's curve runs from node 2i to node
+    2i+1. The two port rules differ only at a crossing: kept edge j is node
+    2k+j (k kept vertices), or a 4-wheel with hub 2k+5j whose rim the curve
+    of v enters and leaves at nodes 1 and 3 (v < w) or 2 and 4 (v > w) past
+    the hub. An outer mode puts an apex after a diagram's last node, joined
+    to both ends of every kept curve by static edges, or in one-end mode to
+    the end that each vertex's end bit picks; other modes ignore the end
+    bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = _norm_mode(mode)
@@ -114,82 +118,60 @@ class _Task:
         self.total = math.prod(self.degrees) * self.end_radix
 
     @cached_property
-    def plain(self):
-        return self._layout(False)
-
-    @cached_property
     def gadget(self):
-        return self._layout(True)
+        return self.layout(range(self.n))
 
-    def _layout(self, gadgets: bool):
-        """The gadget diagram, or the plain one."""
+    def layout(self, keep, gadgets: bool = True):
+        """The gadget diagram, or with `gadgets` False the plain one, of the
+        plane graph induced on the vertex set `keep`. Kept vertex v's row
+        for break b is the path along the full clockwise order of v from b,
+        through its crossings with kept neighbours only; with none it is one
+        edge between the curve's end nodes. A kept vertex keeps its end bit.
+        Other vertices add no edges.
+
+        For every vector, both diagrams of any set S = `keep` are minors of
+        the gadget diagram of all vertices, so a non-planar one rules the
+        vector out. Delete the curves of the vertices outside S, their end
+        nodes, and the wheels of their crossings with each other. A wheel
+        crossed by one kept curve only contracts to a point on that curve's
+        path, which one more contraction removes. What remains of a kept
+        curve is its row above. The apex edges restrict the same way: what
+        is left joins the apex to the kept end nodes that the outer mode
+        names. Contracting each wheel that is left to its hub gives the
+        plain diagram."""
         g, rot = self.pg.graph, self.pg.rot
-        n, m = g.n, g.edge_count
-        width = 5 if gadgets else 1
+        loc = {v: i for i, v in enumerate(sorted(keep))}
+        kept = [(u, v) for u, v in g.edges if u in loc and v in loc]
         eid = {}
-        for i, (u, v) in enumerate(g.edges):
-            eid[(u, v)] = eid[(v, u)] = i
-        base = 2 * n
-        wheels = []
+        for j, (u, v) in enumerate(kept):
+            eid[(u, v)] = eid[(v, u)] = j
+        width, leave = (5, 2) if gadgets else (1, 0)
+        base = 2 * len(loc)
+        apex = base + width * len(kept)
+        static = []
         if gadgets:
-            for hub in range(base, base + 5 * m, 5):
+            for hub in range(base, apex, 5):
                 r = [hub + 1, hub + 2, hub + 3, hub + 4]
-                wheels += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
-                wheels += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
-        rows = []
-        for v in range(n):
-            cyc = rot.order[v]
-            rows.append([])
-            for lin in [cyc[b:] + cyc[:b] for b in range(len(cyc))] or [()]:
-                path, p = [], 2 * v
-                for w in lin:
-                    x = base + width * eid[(v, w)]
-                    if gadgets:
-                        x += 1 if v < w else 2
-                    path.append((p, x))
-                    p = x + 2 if gadgets else x
-                path.append((p, 2 * v + 1))
-                rows[v].append(tuple(path))
-        return self._diagram(base + width * m, wheels, rows)
-
-    def induced(self, keep):
-        """The gadget diagram that `_Task` lays out for the plane graph
-        induced on the vertex set `keep`, its vertices numbered in increasing
-        order, in the rows of this task. Each kept vertex keeps its clockwise
-        order restricted to `keep`, and its row for break b is the induced
-        row whose break is the first kept neighbour at or after b; a kept
-        vertex with no kept neighbour has one row, its curve's single path
-        edge, for every break. A kept vertex keeps its end bit. Other
-        vertices add no edges.
-
-        For every vector it is a minor of the gadget diagram, whatever the
-        set S = `keep`, so a non-planar induced diagram rules the vector out.
-        Delete the curves of the vertices outside S, their end nodes, and the
-        wheels of their crossings with each other. A wheel crossed by one
-        kept curve only contracts to a point on that curve's path, which one
-        more contraction removes. The path that remains of a kept curve then
-        runs through its kept crossings in the order of its full
-        linearization, filtered to S, which is the linearization of the
-        restricted rotation at the mapped break; with no kept crossing it is
-        one edge between the curve's end nodes. The apex edges restrict the
-        same way: what is left joins the apex to the kept end nodes that the
-        outer mode names."""
-        g, rot = self.pg.graph, self.pg.rot
-        keep = sorted(keep)
-        loc = {v: i for i, v in enumerate(keep)}
-        edges = [(loc[u], loc[v]) for u, v in g.edges if u in loc and v in loc]
-        order = [[loc[w] for w in rot.order[v] if w in loc] for v in keep]
-        sub = _Task(PlaneGraph(Graph(len(keep), edges), RotationScheme(order)), self.mode)
-        nodes, static, sub_rows = sub.gadget
+                static += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
+                static += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
+        if self.mode == BOTH_ENDS:
+            static += [(apex, t) for t in range(base)]
         rows = [[((), ())] * d for d in self.degrees]
-        for v, cyc, row in zip(keep, order, sub_rows):
-            if not cyc:
-                rows[v] = row * self.degrees[v]
-                continue
-            full = rot.order[v]
-            firsts = [next(w for w in full[b:] + full[:b] if w in loc) for b in range(len(full))]
-            rows[v] = [row[cyc.index(loc[w])] for w in firsts]
-        return nodes, static, rows
+        for v, i in loc.items():
+            tips = (((apex, 2 * i),), ((apex, 2 * i + 1),)) if self.one_end else ((), ())
+            # the node where v's curve enters each crossing in clockwise
+            # order, None at an unkept neighbour; it leaves `leave` later
+            ports = [base + width * eid[(v, w)] + gadgets * (1 if v < w else 2) if w in loc
+                     else None for w in rot.order[v]]
+            rows[v] = row = []
+            for b in range(self.degrees[v]):
+                # the row of b - 1 holds unless b moves a kept neighbour
+                if b == 0 or ports[b - 1] is not None:
+                    xs = [x for x in ports[b:] + ports[:b] if x is not None]
+                    path = tuple(zip([2 * i] + [x + leave for x in xs], xs + [2 * i + 1]))
+                    entry = (path + tips[0], path + tips[1])
+                row.append(entry)
+        return apex + (self.mode is not None), tuple(static), rows
 
     def edge_count(self, n: int, m: int, gadgets: bool) -> int:
         """Edges of one vector's plain or gadget diagram, in this task's
@@ -198,18 +180,6 @@ class _Task:
         that the mode joins it to."""
         apex = {None: 0, ONE_END: 1, BOTH_ENDS: 2}[self.mode]
         return (10 if gadgets else 2) * m + (1 + apex) * n
-
-    def _diagram(self, nodes, static, rows):
-        """(node count, static edges, rows[v][break][end bit]) of one
-        diagram, with the apex of an outer mode as node `nodes`."""
-        a = nodes
-        tips = [((), ())] * self.n
-        if self.mode == BOTH_ENDS:
-            static = static + [(a, t) for t in range(2 * self.n)]
-        elif self.mode == ONE_END:
-            tips = [(((a, 2 * v),), ((a, 2 * v + 1),)) for v in range(self.n)]
-        rows = [[(p + tip[0], p + tip[1]) for p in row] for row, tip in zip(rows, tips)]
-        return nodes + (self.mode is not None), tuple(static), rows
 
     @staticmethod
     def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
@@ -251,7 +221,7 @@ def build_H(pg: PlaneGraph, breaks, gadgets: bool = True) -> AbstractDiagram:
     t = _Task(pg, None)
     ends = [0] * t.n
     t.check(breaks, ends)
-    nodes, edges = t.edges(t.gadget if gadgets else t.plain, breaks, ends)
+    nodes, edges = t.edges(t.layout(range(t.n), gadgets), breaks, ends)
     tips = tuple((2 * v, 2 * v + 1) for v in range(t.n))
     return AbstractDiagram(nodes, tuple(edges), gadgets, tips)
 
@@ -275,7 +245,7 @@ def decide_fixed(
     ends = [0] * t.n if end_choice is None else list(end_choice)
     t.check(breaks, ends)
     if not gadgets:
-        return is_planar_edges(*t.edges(t.plain, breaks, ends))
+        return is_planar_edges(*t.edges(t.layout(range(t.n), False), breaks, ends))
     return _realizable(t, _Shortcut(t), breaks, ends)
 
 
@@ -323,7 +293,8 @@ def _realizable(task: _Task, sc: _Shortcut, breaks, ends) -> bool:
             continue
         i, keep, diagram = minor
         if diagram is None:
-            diagram = minor[2] = task.plain if keep is None else task.induced(keep)
+            diagram = minor[2] = (task.layout(range(task.n), False) if keep is None
+                                  else task.layout(keep))
         counts[0] += 1
         counts[i] += 1
         if not is_planar_edges(*task.edges(diagram, breaks, ends)):

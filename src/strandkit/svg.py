@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geom import CircleWitness, CrossingProfile, PolylineWitness, StringRep
+from .geom import CircleWitness, CrossingProfile, PolylineWitness, StringRep, _flt, _shift
 
 _SIZE = 800  # width and height of the square canvas, in px
 _MARGIN = 40  # blank border kept around the drawing, in px
@@ -30,18 +30,29 @@ def emit_svg(
 
     Output is byte-identical for equal inputs.
     """
-    pts: list[tuple[float, float]] = []
-    for c in rep.curves.values():
-        pts += [(float(p[0]), float(p[1])) for p in c.points]
+    # coordinates divided by a power of two that brings them into float
+    # range, as the verifier's prefilter does; the drawing is the same
     w = rep.witness
+    exact = [p for c in rep.curves.values() for p in c.points]
     if isinstance(w, PolylineWitness):
-        pts += [(float(p[0]), float(p[1])) for p in w.points]
+        exact += w.points
     elif isinstance(w, CircleWitness):
-        r = math.sqrt(float(w.radius2))
-        cx, cy = float(w.center[0]), float(w.center[1])
-        pts += [(cx - r, cy - r), (cx + r, cy + r)]
+        exact.append(w.center)
     for _label, poly in overlays or ():
-        pts += [(float(p[0]), float(p[1])) for p in poly]
+        exact += poly
+    shift = _shift(exact)
+
+    def flt(p) -> tuple[float, float]:
+        return _flt(p[0], shift), _flt(p[1], shift)
+
+    pts = [flt(p) for p in exact]
+    if isinstance(w, CircleWitness):
+        # the squared radius has twice the bits: rescale it by its own
+        # power of four
+        half = (_shift([(w.radius2,)]) + 1) // 2
+        r = math.sqrt(_flt(w.radius2, 2 * half)) * 2.0 ** (half - shift)
+        cx, cy = flt(w.center)
+        pts += [(cx - r, cy - r), (cx + r, cy + r)]
 
     if not pts:
         return _OPEN + "</svg>\n"
@@ -54,10 +65,8 @@ def emit_svg(
 
     def T(p) -> tuple[float, float]:
         # flip y so the mathematical orientation reads normally on screen
-        return (
-            _MARGIN + (float(p[0]) - x0) * scale,
-            _SIZE - _MARGIN - (float(p[1]) - y0) * scale,
-        )
+        x, y = flt(p)
+        return _MARGIN + (x - x0) * scale, _SIZE - _MARGIN - (y - y0) * scale
 
     def fmt(v: float) -> str:
         return f"{v:.3f}"
@@ -65,7 +74,7 @@ def emit_svg(
     out = [_OPEN]
     if isinstance(w, CircleWitness):
         cx, cy = T(w.center)
-        rr = math.sqrt(float(w.radius2)) * scale
+        rr = r * scale
         out.append(
             f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(rr)}" fill="none" '
             'stroke="#999999" stroke-dasharray="6,4"/>'

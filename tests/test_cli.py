@@ -47,24 +47,84 @@ def test_verify_failure_exit_code(tmp_path):
     assert main(["verify", str(rep), str(bad)]) == 1
 
 
-def test_verify_beyond_float_range(tmp_path, capsys):
-    """A rep scaled past float range verifies as at x1 (no overflow in the
-    float prefilter)."""
+def vpg_rep_data(tmp_path):
+    """The path of a graph, the path of its VPG rep, and the rep's JSON."""
     g = tmp_path / "g.json"
     rep = tmp_path / "rep.json"
     main(["gen", "maximal-outerplanar", "--n", "8", "--seed", "1", "--out", str(g)])
     main(["build", "vpg", str(g), "--out", str(rep)])
-    data = json.loads(rep.read_text())
+    return g, rep, json.loads(rep.read_text())
 
+
+def scale_rep(rep, data, k):
+    """Write the rep JSON `data` to `rep` with every coordinate times k."""
     def scaled(pts):
-        return [[x * 10**400, dx, y * 10**400, dy] for x, dx, y, dy in pts]
+        return [[x * k, dx, y * k, dy] for x, dx, y, dy in pts]
 
     data["curves"] = {v: scaled(pts) for v, pts in data["curves"].items()}
     data["witness"]["polyline"] = scaled(data["witness"]["polyline"])
     rep.write_text(json.dumps(data))
+
+
+def test_verify_beyond_float_range(tmp_path, capsys):
+    """A rep scaled past float range verifies as at x1 (no overflow in the
+    float prefilter)."""
+    g, rep, data = vpg_rep_data(tmp_path)
+    scale_rep(rep, data, 10**400)
     capsys.readouterr()
     assert main(["verify", str(rep), str(g), "--order", "--outer", "both-ends"]) == 0
     assert all(r["ok"] for r in json.loads(capsys.readouterr().out).values())
+
+
+def test_svg_beyond_float_range(tmp_path):
+    _g, rep, data = vpg_rep_data(tmp_path)
+    scale_rep(rep, data, 10**400)
+    svg = tmp_path / "rep.svg"
+    assert main(["svg", str(rep), "--crossings", "--out", str(svg)]) == 0
+    assert svg.read_text().count("<polyline") == 8
+    assert json.loads((tmp_path / "rep.svg.manifest.json").read_text())["exit_code"] == 0
+
+
+def test_verify_witness_with_no_segment(tmp_path, capsys):
+    g, rep, data = vpg_rep_data(tmp_path)
+    data["witness"]["polyline"] = []
+    rep.write_text(json.dumps(data))
+    mf = tmp_path / "m.json"
+    assert main(["--manifest", str(mf), "verify", str(rep), str(g), "--outer", "both-ends"]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "error: witness has no segment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (9, 3), (14, 2)])
+def test_build_trace(tmp_path, n, seed):
+    # one trace snapshot per ear, one region overlay per vertex in the diag
+    # frame, and no trace from the touching-L constructor
+    g = tmp_path / "g.json"
+    main(["gen", "maximal-outerplanar", "--n", str(n), "--seed", str(seed), "--out", str(g)])
+    rep, svg = tmp_path / "vpg.json", tmp_path / "vpg.svg"
+    assert main(["build", "vpg", str(g), "--trace", "--frame", "diag", "--svg", str(svg),
+                 "--out", str(rep)]) == 0
+    assert len(json.loads(rep.read_text())["trace"]) == n - 1
+    assert svg.read_text().count("<title>region ") == n
+    rep = tmp_path / "circle.json"
+    assert main(["build", "circle", str(g), "--trace", "--out", str(rep)]) == 0
+    assert len(json.loads(rep.read_text())["trace"]) == n - 1
+    rep = tmp_path / "sp.json"
+    assert main(["build", "sp", str(g), "--trace", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["trace"] == []
+
+
+@pytest.mark.parametrize("kind", ["circle", "sp"])
+def test_frame_diag_needs_vpg(tmp_path, kind, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    mf = tmp_path / "m.json"
+    rep = tmp_path / "rep.json"
+    assert main(["--manifest", str(mf), "build", kind, str(g), "--frame", "diag",
+                 "--out", str(rep)]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "--frame diag" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -295,7 +295,8 @@ def test_outer_string_at_scale_1e6():
 def test_witness_with_repeated_point_rejected_at_every_scale():
     sq = (pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
     inside = Curve(0, (pt(2, 0), pt(5, 5), pt(8, 0)))
-    for pts in (sq + sq[:1], sq[:2] + sq[1:]):
+    # a witness with no segment, or one of no length, is rejected too
+    for pts in (sq + sq[:1], sq[:2] + sq[1:], (), sq[:1]):
         for s in (1, 1000):
             rep = _moved(StringRep({0: inside}, PolylineWitness(pts)), s, 0, 0)
             with pytest.raises(DegenerateSegment):

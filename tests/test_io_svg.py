@@ -2,7 +2,14 @@ import json
 from fractions import Fraction as F
 
 from strandkit.circle import build_circle, chord_to_geometry
-from strandkit.geom import Curve, StringRep, crossing_profile, pt
+from strandkit.geom import (
+    CircleWitness,
+    Curve,
+    PolylineWitness,
+    StringRep,
+    crossing_profile,
+    pt,
+)
 from strandkit.jsonio import (
     dumps,
     graph_from_edge_text,
@@ -36,6 +43,28 @@ def test_svg_deterministic():
     a = emit_svg(rep, profile=crossing_profile(rep))
     bb = emit_svg(rep, profile=crossing_profile(rep))
     assert a == bb
+
+
+def scaled(rep, k):
+    """rep with every coordinate multiplied by k."""
+    def move(points):
+        return tuple(pt(x * k, y * k) for x, y in points)
+
+    w = rep.witness
+    if isinstance(w, PolylineWitness):
+        w = PolylineWitness(move(w.points))
+    else:
+        w = CircleWitness(move([w.center])[0], w.radius2 * k * k)
+    return StringRep({v: Curve(v, move(c.points)) for v, c in rep.curves.items()}, w)
+
+
+def test_svg_beyond_float_range():
+    # a power of two rescales every float of the drawing exactly
+    g = random_maximal_outerplanar(8, seed=1).graph
+    for rep in (build_vpg(g).rep, chord_to_geometry(build_circle(g).diagram)):
+        big = scaled(rep, 2**1400)
+        assert emit_svg(big, profile=crossing_profile(big)) == emit_svg(
+            rep, profile=crossing_profile(rep))
 
 
 def test_graph_json_roundtrip():

@@ -296,24 +296,50 @@ def ladder(pg, mode):
     return want
 
 
-def check_induced(pg, mode, keeps, vectors):
-    """The induced diagram of each vertex set in `keeps`, for each (breaks,
-    ends), is the gadget diagram of the induced plane graph, and refutes
-    only vectors that the gadget diagram refutes. Returns, per vector, the
-    sizes of the refuting sets."""
+def diagram(pg, breaks, ends, mode, gadgets):
+    """(node count, edges) of H by its definition: curve v from node 2v to
+    2v+1, edge j a crossing node 2n+j, or a 4-wheel with hub 2n+5j entered
+    at rim node 1 (v < w) or 2 (v > w) and left two past it, and the apex
+    last; the edges in the order that `_Task.edges` lists them."""
+    g, rot = pg.graph, pg.rot
+    n = g.n
+    width = 5 if gadgets else 1
+    apex = 2 * n + width * g.edge_count
+    edges = []
+    if gadgets:
+        for hub in range(2 * n, apex, 5):
+            rim = [hub + 1, hub + 2, hub + 3, hub + 4]
+            edges += [(hub, r) for r in rim] + list(zip(rim, rim[1:] + rim[:1]))
+    if mode == BOTH_ENDS:
+        edges += [(apex, t) for t in range(2 * n)]
+    for v in range(n):
+        cyc, b = rot.order[v], breaks[v]
+        p = 2 * v
+        for w in cyc[b:] + cyc[:b]:
+            x = 2 * n + width * g.edges.index((min(v, w), max(v, w)))
+            if gadgets:
+                x += 1 if v < w else 2
+            edges.append((p, x))
+            p = x + 2 if gadgets else x
+        edges.append((p, 2 * v + 1))
+        if mode == ONE_END:
+            edges.append((apex, 2 * v + ends[v]))
+    return apex + (mode is not None), edges
+
+
+def check_induced(pg, mode, keeps, vectors, gadgets=True):
+    """The diagram that `_Task.layout` lays out for each vertex set in
+    `keeps`, for each (breaks, ends), is the diagram of the induced plane
+    graph with the same port rule, and refutes only vectors that the gadget
+    diagram refutes. Returns, per vector, the sizes of the refuting sets."""
     task = oracle._Task(pg, mode)
-    zero = [0] * pg.graph.n
-    cases = []
-    for keep in map(sorted, keeps):
-        sub = induced(pg, keep, zero, zero)[0]
-        cases.append((keep, task.induced(keep), oracle._Task(sub, mode)))
+    cases = [(keep, task.layout(keep, gadgets)) for keep in map(sorted, keeps)]
     refuting = []
     for breaks, ends in vectors:
         sizes = []
-        for keep, diagram, want in cases:
-            _sub, sub_breaks, sub_ends = induced(pg, keep, breaks, ends)
-            got = task.edges(diagram, breaks, ends)
-            assert got == want.edges(want.gadget, sub_breaks, sub_ends)
+        for keep, laid_out in cases:
+            got = task.edges(laid_out, breaks, ends)
+            assert got == diagram(*induced(pg, keep, breaks, ends), mode, gadgets)
             if not is_planar_edges(*got):
                 sizes.append(len(keep))
         if sizes:
@@ -348,6 +374,22 @@ def test_local_diagram_atlas(mode):
         refuted += sum(4 in sizes for sizes in refuting)
     # P_4 is the one possible rung of the 5- and 6-vertex graphs
     assert (rungs, isolated) == (171, 21) and refuted > 0, (rungs, isolated, refuted)
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_layout_every_vertex_set(mode):
+    # every non-empty vertex set, not only prefixes: a search over sets
+    # with breaks lays out arbitrary ones, with either port rule
+    rng = random.Random(5)
+    sets = 0
+    for pg in atlas_plane_graphs(5):
+        n = pg.graph.n
+        keeps = [keep for k in range(1, n + 1) for keep in itertools.combinations(range(n), k)]
+        vectors = random_vectors(pg, 6, rng)
+        for gadgets in (False, True):
+            check_induced(pg, mode, keeps, vectors, gadgets)
+        sets += len(keeps)
+    assert sets == 1223  # 51 graphs: 1 + 2 * 3 + 4 * 7 + 11 * 15 + 33 * 31
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -224,7 +224,7 @@ def test_thm2_diagrams_against_networkx():
     pg = triple_stellation(random_planar_3tree(6, 1))
     g = pg.graph
     task = _Task(pg, None)
-    rungs = [task.induced(keep) for _i, keep, _d in _Shortcut(task).minors
+    rungs = [task.layout(keep) for _i, keep, _d in _Shortcut(task).minors
              if keep is not None and len(keep) <= 16]
     assert len(rungs) == 3
     rng = random.Random(2)
