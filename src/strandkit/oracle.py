@@ -21,23 +21,16 @@ verdicts are independent of the worker count.
 
 The plain diagram and every induced diagram are minors of the gadget
 diagram, so a non-planar one rules a vector out at a fraction of the cost.
-A search first tests the plain diagram and a ladder of prefix diagrams, the
-fewer edges first. The ladder's rungs are the induced diagrams of the first
-4, 8, 16, ... vertices (fewer than n) in the canonical most-significant-digit
-order, the highest degree first; a prefix that spans no edge is left out,
-since its diagram is planar for every vector. Each rung is laid out on its
-first test. The plain diagram hits often on the subdivided K_{2,3} and W_7^+
-and never on the Thm-2 instance. There the rungs of 8 and 16 vertices have
-ruled out every sampled vector, at a tenth of a gadget test's cost or less,
-so neither the plain nor the gadget diagram is tested or laid out. A
-minor that rarely hits is pure overhead, so each one backs off on its own:
-after a miss (minor planar) it is skipped for the next 2, 4, 6, ... vectors
-over consecutive misses, about sqrt(N) tests over N misses, and a hit resets
-the gap to 0. The gap does not double, because in canonical order hits come
-in runs that a doubling gap jumps over. The gadget test alone accepts a
-vector, so no verdict depends on the minors or their back-off.
+`_realizable` tests the rungs of a prefix ladder, then the plain diagram,
+then the gadget diagram, which alone accepts a vector. The rungs are the
+induced diagrams of the first 8, 16, 32, ... vertices (fewer than n, and in
+one-end mode all n, laid out without the apex) in canonical order, the
+highest degree first. A rung reads only its prefix's digits, the most
+significant of an index, so a refuting rung rules out its whole block of
+`span` indices, and an exhaustive or `limit` scan resumes after it; a memo
+of its verdicts by its prefix's rows (up to MEMO_CAP) tests a block once.
 `Verdict.counters` holds the planarity calls, the plain diagram's attempts
-and hits, and the rungs' attempts and hits, summed over the workers.
+and hits, and the rungs' planarity tests and hits, summed over the workers.
 """
 
 from __future__ import annotations
@@ -47,6 +40,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import BudgetZero, InvalidBreak, StrandkitError
 from .geom import BOTH_ENDS, ONE_END
@@ -85,13 +79,20 @@ class Verdict:
         }
 
 
+COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
+            "prefix_hits")
+
+FIRST_RUNG = 8  # the ladder's prefixes have 8, 16, 32, ... vertices below n
+MEMO_CAP = 4096  # verdicts a rung keeps; a full memo starts over
+
+
 class _Task:
     """A plane graph's diagrams in one outer mode, each a triple (node count,
     static edges, rows) with H(breaks, ends) = static edges +
     rows[v][breaks[v]][ends[v]] over the vertices v. `layout` is the one
     builder: it lays out the plain or the gadget diagram of the plane graph
-    induced on any vertex set, in rows indexed by this task's breaks. The
-    gadget diagram of all vertices is cached as `gadget`.
+    induced on any vertex set, in rows indexed by this task's breaks. It
+    caches `plain`, `gadget` and `rungs`; `counts` follows COUNTERS.
 
     The kept vertices, crossings (kept edges) and the apex are numbered in
     increasing order: the i-th kept vertex's curve runs from node 2i to node
@@ -116,10 +117,30 @@ class _Task:
         self.end_radix = 1 << n if self.one_end else 1
         self.digits = sorted(range(n), key=lambda v: (-self.degrees[v], v))[::-1]
         self.total = math.prod(self.degrees) * self.end_radix
+        self.counts = [0] * len(COUNTERS)
+
+    @cached_property
+    def plain(self):
+        return self.layout(range(self.n), False)
 
     @cached_property
     def gadget(self):
         return self.layout(range(self.n))
+
+    @cached_property
+    def rungs(self) -> list[_Rung]:
+        """A rung per prefix that spans an edge (else every diagram is planar).
+        One-end end bits follow the vertices, so all n vertices are a prefix
+        too, and the rungs are laid out in base mode: without the apex, a
+        rung is a minor for every end bit of its block."""
+        order = self.digits[::-1]
+        rank = {v: i for i, v in enumerate(order)}
+        base = _Task(self.pg, None) if self.one_end else self
+        sizes = [FIRST_RUNG << i for i in range(self.n.bit_length()) if FIRST_RUNG << i < self.n]
+        return [_Rung(base, sorted(order[:k]),
+                      self.total // math.prod(self.degrees[v] for v in order[:k]))
+                for k in sizes + [self.n] * self.one_end
+                if any(max(rank[u], rank[v]) < k for u, v in self.pg.graph.edges)]
 
     def layout(self, keep, gadgets: bool = True):
         """The gadget diagram, or with `gadgets` False the plain one, of the
@@ -173,14 +194,6 @@ class _Task:
                 row.append(entry)
         return apex + (self.mode is not None), tuple(static), rows
 
-    def edge_count(self, n: int, m: int, gadgets: bool) -> int:
-        """Edges of one vector's plain or gadget diagram, in this task's
-        mode, of a plane graph with n vertices and m edges: a curve's path
-        has its degree + 1 edges, a wheel 8, and the apex one per end node
-        that the mode joins it to."""
-        apex = {None: 0, ONE_END: 1, BOTH_ENDS: 2}[self.mode]
-        return (10 if gadgets else 2) * m + (1 + apex) * n
-
     @staticmethod
     def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
         """(node count, edge list) of one diagram for one vector."""
@@ -208,6 +221,19 @@ class _Task:
         return breaks, [(bits >> v) & 1 for v in range(self.n)]
 
 
+class _Rung:
+    """The vertex set `keep` of a rung, its block size `span`, its verdicts
+    by the kept rows in `memo`, and its gadget diagram, laid out by `task`
+    on first test."""
+
+    def __init__(self, task: _Task, keep: list[int], span: int):
+        self.task, self.keep, self.span, self.memo = task, keep, span, {}
+
+    @cached_property
+    def diagram(self):
+        return self.task.layout(self.keep)
+
+
 def _norm_mode(outer_mode) -> str | None:
     if outer_mode in (None, "base"):
         return None
@@ -221,7 +247,7 @@ def build_H(pg: PlaneGraph, breaks, gadgets: bool = True) -> AbstractDiagram:
     t = _Task(pg, None)
     ends = [0] * t.n
     t.check(breaks, ends)
-    nodes, edges = t.edges(t.layout(range(t.n), gadgets), breaks, ends)
+    nodes, edges = t.edges(t.gadget if gadgets else t.plain, breaks, ends)
     tips = tuple((2 * v, 2 * v + 1) for v in range(t.n))
     return AbstractDiagram(nodes, tuple(edges), gadgets, tips)
 
@@ -234,100 +260,74 @@ def decide_fixed(
     gadgets: bool = True,
 ) -> bool:
     """Planarity of the (gadgetized) diagram, plus an apex in outer modes.
-    With gadgets, the plain diagram and every rung of the prefix ladder are
+    With gadgets, the rungs of the prefix ladder and the plain diagram are
     tested first, as in a search; a non-planar one answers False without the
-    gadget test. A single decision has no back-off, so it climbs the whole
-    ladder: on a YES that costs at most about one extra gadget test, since
-    the rungs' sizes roughly double."""
+    gadget test. On a YES the ladder costs about one extra gadget test, as
+    the rungs' sizes double, and one more for a one-end rung of all n."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
     ends = [0] * t.n if end_choice is None else list(end_choice)
     t.check(breaks, ends)
     if not gadgets:
-        return is_planar_edges(*t.edges(t.layout(range(t.n), False), breaks, ends))
-    return _realizable(t, _Shortcut(t), breaks, ends)
+        return is_planar_edges(*t.edges(t.plain, breaks, ends))
+    return _realizable(t, breaks, ends) == 0
 
 
-COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
-            "prefix_hits")
-
-FIRST_RUNG = 4  # the ladder's prefixes have 4, 8, 16, ... vertices, each below n
-
-
-class _Shortcut:
-    """The minors of the gadget diagram that a search tests first, the
-    fewer edges first: the plain diagram and the rungs of the prefix
-    ladder, the induced diagrams of the first 4, 8, 16, ... vertices (fewer
-    than n) in the canonical most-significant-digit order, where they span
-    an edge. Each minor is [COUNTERS index of its attempts (its hits
-    follow), its prefix or None for the plain diagram, its diagram once laid
-    out], with its back-off [gap, skip]. Also the counts of the current
-    range, in COUNTERS order."""
-
-    def __init__(self, task: _Task):
-        g = task.pg.graph
-        order = task.digits[::-1]
-        rank = {v: i for i, v in enumerate(order)}
-        sized = [(task.edge_count(task.n, g.edge_count, False), [1, None, None])]
-        k = FIRST_RUNG
-        while k < task.n:
-            m = sum(max(rank[u], rank[v]) < k for u, v in g.edges)
-            if m:  # without an edge, every vector's diagram is planar: paths and an apex
-                sized.append((task.edge_count(k, m, True), [3, order[:k], None]))
-            k *= 2
-        sized.sort(key=lambda s: s[0])
-        self.minors = [minor for _size, minor in sized]
-        self.backoff = [[0, 0] for _ in self.minors]
-        self.counts = [0] * len(COUNTERS)
-
-
-def _realizable(task: _Task, sc: _Shortcut, breaks, ends) -> bool:
-    """Planarity of the gadget diagram for one vector. The minors are
-    tested first, in order, unless the back-off in `sc` skips them; a
-    non-planar minor rules the vector out."""
-    counts = sc.counts
-    for minor, backoff in zip(sc.minors, sc.backoff):
-        if backoff[1]:
-            backoff[1] -= 1
-            continue
-        i, keep, diagram = minor
-        if diagram is None:
-            diagram = minor[2] = (task.layout(range(task.n), False) if keep is None
-                                  else task.layout(keep))
-        counts[0] += 1
-        counts[i] += 1
-        if not is_planar_edges(*task.edges(diagram, breaks, ends)):
-            counts[i + 1] += 1
-            backoff[0] = 0
-            return False
-        backoff[0] = backoff[1] = backoff[0] + 2
+def _realizable(task: _Task, breaks, ends) -> int:
+    """0 when the gadget diagram of one vector is planar, else the span of
+    the first rung that refutes it, or 1 when the plain or gadget diagram
+    does. Planarity tests, not memo hits, are counted in `task.counts`."""
+    counts = task.counts
+    for rung in task.rungs:
+        nodes, static, rows = rung.diagram
+        key = tuple(rows[v][breaks[v]][0] for v in rung.keep)  # no end-bit apex edges
+        planar = rung.memo.get(key)
+        if planar is None:
+            if len(rung.memo) == MEMO_CAP:
+                rung.memo.clear()
+            planar = rung.memo[key] = is_planar_edges(nodes, list(chain(static, *key)))
+            counts[0] += 1
+            counts[3] += 1
+            counts[4] += not planar
+        if not planar:
+            return rung.span
     counts[0] += 1
-    return is_planar_edges(*task.edges(task.gadget, breaks, ends))
+    counts[1] += 1
+    if not is_planar_edges(*task.edges(task.plain, breaks, ends)):
+        counts[2] += 1
+        return 1
+    counts[0] += 1
+    return 0 if is_planar_edges(*task.edges(task.gadget, breaks, ends)) else 1
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-_SEARCH: tuple = ()  # (task, shortcut, indices, stop flag) of this worker's search
+_SEARCH: tuple = ()  # (task, indices, stop flag) of this worker's search
 
 
 def _scan_range(bounds):
     """The first realizable position in [lo, hi) of the search's indices, or
-    None, and the counts of this range; the back-off carries over from the
-    worker's previous range. A set stop flag ends the scan: the search
-    already has its result."""
+    None, and the counts of this range. Where the indices are range(span),
+    a refuting rung moves the scan to its next block, clamped to hi; sampled
+    indices step by one. The rungs' memos carry over between ranges. A set
+    stop flag ends the scan: the search already has its result."""
     lo, hi = bounds
-    task, sc, indices, stop = _SEARCH
-    sc.counts = [0] * len(COUNTERS)
-    for i in range(lo, hi):
+    task, indices, stop = _SEARCH
+    task.counts = [0] * len(COUNTERS)
+    blocks = isinstance(indices, range)
+    i = lo
+    while i < hi:
         if stop is not None and stop.value:
             break
         breaks, ends = task.decode(indices[i])
-        if _realizable(task, sc, breaks, ends):
-            return (i, tuple(breaks), tuple(ends) if task.one_end else None), sc.counts
-    return None, sc.counts
+        span = _realizable(task, breaks, ends)
+        if not span:
+            return (i, tuple(breaks), tuple(ends) if task.one_end else None), task.counts
+        i = min(hi, i - i % span + span) if blocks else i + 1
+    return None, task.counts
 
 
 def _ranges(span: int, chunk: int, stop=None):
@@ -393,14 +393,14 @@ def enumerate_breaks(
         indices = range(span)
 
     if jobs <= 1 or span <= chunk:
-        _init_worker((task, _Shortcut(task), indices, None))
+        _init_worker((task, indices, None))
         hit, counts = _first_hit(map(_scan_range, _ranges(span, chunk)))
     else:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         stop = ctx.RawValue("b", 0)
-        search = (task, _Shortcut(task), indices, stop)
+        search = (task, indices, stop)
         with ctx.Pool(jobs, initializer=_init_worker, initargs=(search,)) as pool:
             hit, counts = _first_hit(pool.imap(_scan_range, _ranges(span, chunk, stop)))
             # Let the ranges after the hit return at once and the workers

@@ -180,7 +180,7 @@ def test_oracle_bad_chunk_or_limit(tmp_path, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--no-gadgets"], ["oracle", "--chunk", "4"],
-                                  ["repro", "thm6", "--limit", "9", "--chunk", "4"]])
+                                  ["repro", "thm6", "--limit", "9"]])
 def test_removed_search_flags(tmp_path, argv):
     g = tmp_path / "g.txt"
     g.write_text("0 1\n1 2\n2 0\n")
@@ -262,24 +262,23 @@ def test_oracle_counters_in_manifest(tmp_path):
     assert main(["gen", "subdivided-k23", "--out", str(g)]) == 0
     assert main(["--manifest", str(mf), "oracle", str(g), "--mode", "both-ends",
                  "--out", str(tmp_path / "v.json")]) == 0
-    # plain H rules out every vector, so the shortcut runs on each of them;
-    # the ladder's P_4 spans no edge, so it is no rung, and P_8 comes after
-    # the plain diagram
+    # the ladder's one rung, P_8, rules no vector out, and its memo tests it
+    # once per distinct row tuple of its prefix; plain H then rules out
+    # every vector, so no gadget test runs
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
-        "planarity_calls": 4608, "shortcut_attempts": 4608, "shortcut_hits": 4608,
-        "prefix_attempts": 0, "prefix_hits": 0}
+        "planarity_calls": 4632, "shortcut_attempts": 4608, "shortcut_hits": 4608,
+        "prefix_attempts": 24, "prefix_hits": 0}
     verdict = json.loads((tmp_path / "v.json").read_text())
     assert set(verdict) == {"status", "witness", "witness_ends", "tried", "total",
                             "elapsed_ms"}
     assert main(["--manifest", str(mf), "repro", "thm2-sample", "--samples", "20",
                  "--out", str(tmp_path / "t.json")]) == 0
-    # Thm-2: the rungs P_4, P_8 and P_16 come before plain H and rule out
-    # every vector, so neither plain H nor gadget H is tested; P_4 misses and
-    # backs off (4 tests), P_8 rules out 17 vectors in 18 tests, and P_16
-    # rules out the 3 vectors where P_8 missed or was skipped
+    # Thm-2: the rungs P_8 and P_16 come before plain H and rule out every
+    # vector, so neither plain H nor gadget H is tested; P_8 rules out 19
+    # of the 20 vectors, and P_16 the one where P_8 missed
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
-        "planarity_calls": 25, "shortcut_attempts": 0, "shortcut_hits": 0,
-        "prefix_attempts": 25, "prefix_hits": 20}
+        "planarity_calls": 21, "shortcut_attempts": 0, "shortcut_hits": 0,
+        "prefix_attempts": 21, "prefix_hits": 20}
 
 
 def test_sp_build_and_oracle(tmp_path):

@@ -17,6 +17,7 @@ from strandkit.families import (
     random_planar_3tree,
     subdivided_k23,
     triple_stellation,
+    wheel,
 )
 from strandkit.graphs import Graph, PlaneGraph, RotationScheme, is_planar
 from strandkit.oracle import (
@@ -214,47 +215,55 @@ def test_counters_not_in_verdict_json():
     assert set(v.counters) == set(COUNTERS)
 
 
-def test_shortcut_back_off(monkeypatch):
-    # a scripted test per diagram, told apart by node count: the plain
-    # diagram rules out vectors 8..11, the ladder's one rung (P_4, fewer
-    # edges than the gadget diagram, more than the plain one) vectors 19 and
-    # 20, every other minor test is a miss, and every gadget test is
-    # non-planar, so the scan covers all 30
-    pg = extended_wheel(3)
-    g = pg.graph
-    plain_nodes = 2 * g.n + g.edge_count + 1  # with the apex
-    rung_nodes = 2 * 4 + 5 * 6 + 1  # P_4 is the rim and the hub, a K_4
-    gadget_nodes = 2 * g.n + 5 * g.edge_count + 1
-    kinds = {plain_nodes: "plain", rung_nodes: "prefix"}
-    vector = [0]
-    attempts = {"plain": [], "prefix": []}
-    hits = {"plain": range(8, 12), "prefix": (19, 20)}
+def star_plane(k):
+    """K_{1,k}: hub 0 with the leaves 1..k in clockwise order."""
+    return PlaneGraph(Graph(k + 1, [(0, i) for i in range(1, k + 1)]),
+                      RotationScheme([tuple(range(1, k + 1))] + [(0,)] * k))
+
+
+def test_rung_skips_refuted_blocks(monkeypatch):
+    # K_{1,8} in one-end mode has 8 * 2^9 vectors. Its rungs, the hub with
+    # leaves 1..7 and then with all leaves, laid out without the apex, read
+    # only the hub's break, the most significant digit: a block of 512
+    # indices per break. A scripted test per diagram, told apart by node
+    # count, makes the first rung non-planar at the hub's breaks 2 and 5, the
+    # second rung and the plain diagram always planar and the gadget diagram
+    # never, so the scan covers all 4096 indices
+    pg = star_plane(8)
+    rungs = oracle._Task(pg, ONE_END).rungs
+    assert [(r.keep, r.span) for r in rungs] == [(list(range(8)), 512), (list(range(9)), 512)]
+    rung_nodes = 2 * 8 + 5 * 7
+    gadget_nodes = 2 * 9 + 5 * 8 + 1
+    decoded, gadget_at = [], []
+    decode = oracle._Task.decode
+
+    def recording(task, idx):
+        decoded.append(idx)
+        return decode(task, idx)
 
     def fake(n, edges):
+        if n == rung_nodes:
+            return decoded[-1] // 512 not in (2, 5)
         if n == gadget_nodes:
-            vector[0] += 1
-            return False
-        kind = kinds[n]
-        attempts[kind].append(vector[0])
-        if vector[0] in hits[kind]:
-            vector[0] += 1
+            gadget_at.append(decoded[-1])
             return False
         return True
 
+    monkeypatch.setattr(oracle._Task, "decode", recording)
     monkeypatch.setattr(oracle, "is_planar_edges", fake)
-    v = enumerate_breaks(pg, BOTH_ENDS, limit=30, chunk=7)
-    # each minor's gap grows 2, 4, 6, ... over its misses and a hit resets
-    # it; the rung runs only where the plain diagram misses or is skipped
-    assert attempts == {"plain": [0, 3, 8, 9, 10, 11, 12, 15, 20, 27],
-                        "prefix": [0, 3, 12, 19, 20, 21, 24, 29]}
-    assert (v.status, v.tried) == ("unknown", 30)
-    assert v.counters == {"planarity_calls": 10 + 8 + 24, "shortcut_attempts": 10,
-                          "shortcut_hits": 4, "prefix_attempts": 8, "prefix_hits": 2}
-    # decide_fixed always tries every minor first
-    attempts = {"plain": [], "prefix": []}
-    vector[0] = 0
-    assert not decide_fixed(pg, [0] * g.n, BOTH_ENDS)
-    assert attempts == {"plain": [0], "prefix": [0]}
+    v = enumerate_breaks(pg, ONE_END, chunk=1000)
+    # a refutation at a block's first index resumes the scan at the next
+    # block, clamped to the range's end: block 2 at 1024, and block 5 at
+    # 2560 and again, a memo hit, at the range start 3000
+    skipped = {*range(1025, 1536), *range(2561, 3000), *range(3001, 3072)}
+    assert decoded == [i for i in range(4096) if i not in skipped]
+    assert gadget_at == [i for i in range(4096) if i // 512 not in (2, 5)]
+    assert (v.status, v.tried, v.total) == ("no", 4096, 4096)
+    # the memo tests a rung once per distinct hub row: the first rung 7
+    # times, as breaks 0 and 7 both start at leaf 1 when leaf 8 is not kept,
+    # and the second once per block that the first does not refute
+    assert v.counters == {"planarity_calls": 13 + 2 * 3072, "shortcut_attempts": 3072,
+                          "shortcut_hits": 0, "prefix_attempts": 13, "prefix_hits": 2}
 
 
 def induced(pg, keep, breaks, ends):
@@ -281,18 +290,22 @@ def canonical_order(g):
 
 def ladder(pg, mode):
     """The vertex sets of the search's prefix rungs, checked against their
-    definition: the first 4, 8, 16, ... vertices in canonical order, fewer
-    than n, where they span an edge."""
+    definition: the first 8, 16, 32, ... vertices in canonical order, fewer
+    than n, and in one-end mode all n, where they span an edge; each with
+    the block of indices that its prefix's digits fix, and laid out by
+    `_Task.layout` in the task's mode, or in base mode for a one-end task."""
     g = pg.graph
     order = canonical_order(g)
-    want = []
-    k = 4
-    while k < g.n:
-        if any(u in order[:k] and v in order[:k] for u, v in g.edges):
-            want.append(order[:k])
-        k *= 2
-    minors = oracle._Shortcut(oracle._Task(pg, mode)).minors
-    assert sorted((keep for _i, keep, _d in minors if keep is not None), key=len) == want
+    task = oracle._Task(pg, mode)
+    layout = oracle._Task(pg, None if mode == ONE_END else mode).layout
+    sizes = [k for k in (8, 16, 32, 64) if k < g.n] + [g.n] * (mode == ONE_END)
+    assert g.n <= 128
+    want = [order[:k] for k in sizes
+            if any(u in order[:k] and v in order[:k] for u, v in g.edges)]
+    assert [sorted(keep) for keep in want] == [rung.keep for rung in task.rungs]
+    for keep, rung in zip(want, task.rungs):
+        assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) == task.total
+        assert rung.diagram == layout(keep)
     return want
 
 
@@ -356,24 +369,24 @@ def random_vectors(pg, count, rng):
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_local_diagram_atlas(mode):
-    # the ladder's rungs, and every other proper prefix of the canonical
-    # order, which a prefix search would test
+    # every proper prefix of the canonical order, which a prefix search
+    # would test; a rung of fewer than n vertices needs n >= 9, so an atlas
+    # graph's only rung is that of all its vertices in one-end mode
     rng = random.Random(4)
-    rungs = isolated = refuted = 0
+    isolated = refuted = 0
     for pg in atlas_plane_graphs(6):
         g = pg.graph
-        rung_sets = ladder(pg, mode)
+        assert [len(keep) for keep in ladder(pg, mode)] in ([], [g.n] * (mode == ONE_END))
         keeps = [canonical_order(g)[:k] for k in range(1, g.n)]
         refuting = check_induced(pg, mode, keeps, random_vectors(pg, 12, rng))
         # the ladder leaves out a prefix with no edge: it never refutes
         spans = [any(u in keep and v in keep for u, v in g.edges) for keep in keeps]
         assert all(spans[k - 1] for sizes in refuting for k in sizes)
-        rungs += len(rung_sets)
         # a kept vertex with no kept neighbour has one row for every break
-        isolated += sum(any(not set(g.adj[v]) & set(keep) for v in keep) for keep in rung_sets)
-        refuted += sum(4 in sizes for sizes in refuting)
-    # P_4 is the one possible rung of the 5- and 6-vertex graphs
-    assert (rungs, isolated) == (171, 21) and refuted > 0, (rungs, isolated, refuted)
+        isolated += sum(any(not set(g.adj[v]) & set(keep) for v in keep)
+                        for keep, spanned in zip(keeps, spans) if spanned)
+        refuted += sum(bool(sizes) for sizes in refuting)
+    assert isolated > 0 and refuted > 0, (isolated, refuted)
 
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
@@ -401,11 +414,16 @@ def test_local_diagram_thm2(seed):
     assert all(sizes and min(sizes) <= 16 for sizes in refuting), refuting
 
 
-def brute_force(pg, mode):
-    """The verdict fields of a linear decide_fixed scan in canonical order:
-    the highest-degree vertex is the most significant digit, and in one-end
-    mode the end bits (bit v for vertex v) are less significant still."""
+def brute_force(pg, mode, decide=None, limit=None):
+    """The verdict fields of a linear scan of the first `limit` vectors (or
+    all) in canonical order: the highest-degree vertex is the most
+    significant digit, and in one-end mode the end bits (bit v for vertex v)
+    are less significant still. `decide(breaks, ends)` decides a vector;
+    by default it is decide_fixed."""
     g = pg.graph
+    if decide is None:
+        def decide(breaks, ends):
+            return decide_fixed(pg, breaks, mode, end_choice=ends)
     deg = [max(1, g.degree(v)) for v in range(g.n)]
     dv = sorted(range(g.n), key=lambda v: (-deg[v], v))
     end_vectors = ([None] if mode != ONE_END else
@@ -416,8 +434,10 @@ def brute_force(pg, mode):
         for v, d in zip(dv, digits):
             breaks[v] = d
         for ends in end_vectors:
+            if tried == limit:
+                return "unknown", None, None, tried
             tried += 1
-            if decide_fixed(pg, breaks, mode, end_choice=ends):
+            if decide(breaks, ends):
                 return "yes", tuple(breaks), ends, tried
     return "no", None, None, tried
 
@@ -443,9 +463,9 @@ def check_against_brute_force(pg, mode):
             v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
             assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
             c = v.counters
-            # each vector is a minor's hit or ends in one gadget call
-            assert c["planarity_calls"] == (c["shortcut_attempts"] + c["prefix_attempts"]
-                                            + v.tried - c["shortcut_hits"] - c["prefix_hits"])
+            # each plain test that misses is followed by one gadget test
+            assert c["planarity_calls"] == (c["prefix_attempts"] + 2 * c["shortcut_attempts"]
+                                            - c["shortcut_hits"])
     return v
 
 
@@ -458,12 +478,61 @@ def test_enumerate_matches_brute_force_atlas(mode):
 
 
 def test_enumerate_matches_brute_force_mixed_hits():
-    # W_3^+ both-ends: runs of plain hits and misses, so the back-off both
-    # grows and resets; NO after all 3000 vectors
+    # W_3^+ both-ends: runs of plain hits and misses, and no rung with
+    # 7 vertices, so every vector has a plain test; NO after all 3000
     v = check_against_brute_force(extended_wheel(3), BOTH_ENDS)
     assert v.status == "no"
     c = enumerate_breaks(extended_wheel(3), BOTH_ENDS).counters
-    assert 0 < c["shortcut_hits"] < c["shortcut_attempts"] < v.tried
+    assert 0 < c["shortcut_hits"] < c["shortcut_attempts"] == v.tried
+
+
+def block_cases(mode):
+    """(plane graph, limit or None) per differential case of `mode`."""
+    cycle = Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
+    cycle = PlaneGraph(cycle, is_planar(cycle)[1])
+    return {
+        None: [(random_planar_3tree(9, 1), 6000), (random_planar_3tree(10, 1), 1500),
+               (star_plane(8), None)],
+        BOTH_ENDS: [(wheel(8), 1500), (random_planar_3tree(9, 2), 1500), (cycle, None),
+                    (star_plane(8), None)],
+        ONE_END: [(wheel(9), None), (random_planar_3tree(9, 1), 3000), (cycle, None),
+                  (star_plane(8), None)],
+    }[mode]
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_blocks_match_linear_scan(mode):
+    # graphs with 9 to 12 vertices, where the ladder has rungs, against a
+    # linear scan that decides each vector by planarity of the gadget
+    # diagram by its definition, over the first `limit` vectors where the
+    # space is large; the pruned scans skip blocks, so they test fewer
+    # diagrams than the reference decides vectors
+    tested = decided = 0
+    for pg, limit in block_cases(mode):
+        g = pg.graph
+        assert 9 <= g.n <= 12 and ladder(pg, mode)
+
+        def decide(breaks, ends):
+            return is_planar_edges(*diagram(pg, breaks, ends or [0] * g.n, mode, True))
+
+        want = brute_force(pg, mode, decide, limit)
+        for jobs, chunk in ((1, 2048), (2, 7)):
+            v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk, limit=limit)
+            assert (v.status, v.witness, v.witness_ends, v.tried) == want, (g.n, jobs, chunk)
+        tested += v.counters["planarity_calls"]
+        decided += v.tried
+        if v.status == "yes":
+            # the vectors that differ from the witness at one vertex u share
+            # every other row, so one task's rung memos must tell them
+            # apart; the witness's own break at u comes last
+            ends = list(v.witness_ends or [0] * g.n)
+            for u in range(g.n):
+                task = oracle._Task(pg, mode)
+                for b in sorted(range(max(1, g.degree(u))), key=lambda b: b == v.witness[u]):
+                    breaks = list(v.witness)
+                    breaks[u] = b
+                    assert (oracle._realizable(task, breaks, ends) == 0) == decide(breaks, ends)
+    assert tested < decided, (tested, decided)
 
 
 STRESS = """

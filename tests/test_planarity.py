@@ -6,7 +6,7 @@ import pytest
 
 from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
 from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
-from strandkit.oracle import _Shortcut, _Task, build_H
+from strandkit.oracle import _Task, build_H
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
 
@@ -224,9 +224,8 @@ def test_thm2_diagrams_against_networkx():
     pg = triple_stellation(random_planar_3tree(6, 1))
     g = pg.graph
     task = _Task(pg, None)
-    rungs = [task.layout(keep) for _i, keep, _d in _Shortcut(task).minors
-             if keep is not None and len(keep) <= 16]
-    assert len(rungs) == 3
+    rungs = [rung.diagram for rung in task.rungs if len(rung.keep) <= 16]
+    assert len(rungs) == 2
     rng = random.Random(2)
     for _ in range(50):
         breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
