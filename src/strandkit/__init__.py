@@ -34,7 +34,7 @@ from .graphs import (
     is_planar,
     two_tree_completion,
 )
-from .oracle import AbstractDiagram, Verdict, build_H, decide_fixed, enumerate_breaks
+from .oracle import Verdict, decide_fixed, enumerate_breaks
 from .sp import SpBuild, TouchingBuild, build_sp, build_touching_L, derive_embedding, extend_to_1string
 from .svg import emit_svg
 from .vpg import VpgBuild, build_vpg, compact_grid, grid_size, rotate45

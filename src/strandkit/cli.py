@@ -38,7 +38,7 @@ from .graphs import Graph, PlaneGraph, RotationScheme, euler_check, is_outerplan
 from .oracle import COUNTERS, enumerate_breaks
 from .sp import build_sp
 from .svg import emit_svg
-from .vpg import build_vpg
+from .vpg import GRID_CONSTANT, build_vpg
 
 
 def _sha(text: str) -> str:
@@ -292,9 +292,9 @@ def _cmd_repro(run: _Run, args) -> int:
         result = {"n": g.n}
         bends = [c.bend_count() for c in rep.curves.values()]
         if kind == "vpg":
-            ok = ok and all(k <= 1 for k in bends)
+            ok = ok and all(k <= 1 for k in bends) and max(b.grid) <= GRID_CONSTANT * g.n
             ex["grid_per_n"] = [b.grid[0] / g.n, b.grid[1] / g.n]
-            ex["grid_constant"] = 4  # implementation bound: dimension <= 4n
+            ex["grid_constant"] = GRID_CONSTANT
             result["grid"] = list(b.grid)
         elif kind == "sp":
             ok = ok and all(k == 1 for k in bends)

@@ -2,13 +2,14 @@
 every clockwise rotation at its break, and build the abstract diagram H
 (one node per crossing, two end nodes per curve, path edges along curves).
 An order-preserving 1-string representation with those breaks exists exactly
-when H is planar; crossing nodes are expanded into 4-wheel gadgets so that
-a planar embedding cannot cheat with a touching (u,u,v,v) rotation. Only
-`build_H` and `decide_fixed` offer the plain diagram as the decision
-(`gadgets=False`), which over-accepts; searches always use gadgets.
-Outer-string variants add an apex adjacent to the required end nodes.
+when H is planar with every crossing node expanded into a 4-wheel gadget;
+the plain H over-accepts, as a planar embedding of it can fake a crossing
+with a touching (u,u,v,v) rotation. Outer-string variants add an apex
+adjacent to the required end nodes.
 
-`build_H`, `decide_fixed` and `enumerate_breaks` each build one `_Task`, a
+`decide_fixed` decides one vector by that definition, a single planarity
+test of the gadget diagram, and is the reference that searches are checked
+against. `decide_fixed` and `enumerate_breaks` each build one `_Task`, a
 plane graph in one outer mode. Its one diagram builder, `_Task.layout`, lays
 out the plain or the gadget diagram of the plane graph induced on any vertex
 set, all vertices included, as static edges plus one edge tuple per (vertex,
@@ -21,14 +22,15 @@ verdicts are independent of the worker count.
 
 The plain diagram and every induced diagram are minors of the gadget
 diagram, so a non-planar one rules a vector out at a fraction of the cost.
-`_realizable` tests the rungs of a prefix ladder, then the plain diagram,
-then the gadget diagram, which alone accepts a vector. The rungs are the
-induced diagrams of the first 8, 16, 32, ... vertices (fewer than n, and in
-one-end mode all n, laid out without the apex) in canonical order, the
-highest degree first. A rung reads only its prefix's digits, the most
-significant of an index, so a refuting rung rules out its whole block of
-`span` indices, and an exhaustive or `limit` scan resumes after it; a memo
-of its verdicts by its prefix's rows (up to MEMO_CAP) tests a block once.
+`_realizable`, the searches' per-vector step, tests the rungs of a prefix
+ladder, then the plain diagram, then the gadget diagram, which alone accepts
+a vector. The rungs are the induced diagrams of the first 8, 16, 32, ...
+vertices (fewer than n, and in one-end mode all n, laid out without the
+apex) in canonical order, the highest degree first. A rung reads only its
+prefix's digits, the most significant of an index, so a refuting rung rules
+out its whole block of `span` indices, and an exhaustive or `limit` scan
+resumes after it; a memo of its verdicts by its prefix's rows (up to
+MEMO_CAP) tests a block once.
 `Verdict.counters` holds the planarity calls, the plain diagram's attempts
 and hits, and the rungs' planarity tests and hits, summed over the workers.
 """
@@ -46,14 +48,6 @@ from .errors import BudgetZero, InvalidBreak, StrandkitError
 from .geom import BOTH_ENDS, ONE_END
 from .graphs import PlaneGraph
 from .planarity import is_planar_edges
-
-
-@dataclass(frozen=True)
-class AbstractDiagram:
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-    gadgetized: bool
-    end_nodes: tuple[tuple[int, int], ...]  # (tail, head) per vertex
 
 
 @dataclass(frozen=True)
@@ -242,36 +236,15 @@ def _norm_mode(outer_mode) -> str | None:
     raise ValueError(f"unknown outer mode {outer_mode!r}")
 
 
-def build_H(pg: PlaneGraph, breaks, gadgets: bool = True) -> AbstractDiagram:
-    """Abstract diagram for one break vector."""
-    t = _Task(pg, None)
-    ends = [0] * t.n
-    t.check(breaks, ends)
-    nodes, edges = t.edges(t.gadget if gadgets else t.plain, breaks, ends)
-    tips = tuple((2 * v, 2 * v + 1) for v in range(t.n))
-    return AbstractDiagram(nodes, tuple(edges), gadgets, tips)
-
-
-def decide_fixed(
-    pg: PlaneGraph,
-    breaks,
-    outer_mode=None,
-    end_choice=None,
-    gadgets: bool = True,
-) -> bool:
-    """Planarity of the (gadgetized) diagram, plus an apex in outer modes.
-    With gadgets, the rungs of the prefix ladder and the plain diagram are
-    tested first, as in a search; a non-planar one answers False without the
-    gadget test. On a YES the ladder costs about one extra gadget test, as
-    the rungs' sizes double, and one more for a one-end rung of all n."""
+def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:
+    """Planarity of the gadget diagram of one vector, with the apex in outer
+    modes: the definition, with no rung or plain test before it."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
     ends = [0] * t.n if end_choice is None else list(end_choice)
     t.check(breaks, ends)
-    if not gadgets:
-        return is_planar_edges(*t.edges(t.plain, breaks, ends))
-    return _realizable(t, breaks, ends) == 0
+    return is_planar_edges(*t.edges(t.gadget, breaks, ends))
 
 
 def _realizable(task: _Task, breaks, ends) -> int:
@@ -305,7 +278,7 @@ def _realizable(task: _Task, breaks, ends) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
-_SEARCH: tuple = ()  # (task, indices, stop flag) of this worker's search
+_SEARCH: tuple = ()  # (task, indices, stop flag) of the search; forked workers inherit it
 
 
 def _scan_range(bounds):
@@ -351,11 +324,6 @@ def _first_hit(results):
     return None, counts
 
 
-def _init_worker(search: tuple) -> None:
-    global _SEARCH
-    _SEARCH = search
-
-
 def enumerate_breaks(
     pg: PlaneGraph,
     outer_mode=None,
@@ -392,16 +360,17 @@ def enumerate_breaks(
         span = total if limit is None else min(limit, total)
         indices = range(span)
 
+    global _SEARCH
     if jobs <= 1 or span <= chunk:
-        _init_worker((task, indices, None))
+        _SEARCH = (task, indices, None)
         hit, counts = _first_hit(map(_scan_range, _ranges(span, chunk)))
     else:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         stop = ctx.RawValue("b", 0)
-        search = (task, indices, stop)
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(search,)) as pool:
+        _SEARCH = (task, indices, stop)
+        with ctx.Pool(jobs) as pool:
             hit, counts = _first_hit(pool.imap(_scan_range, _ranges(span, chunk, stop)))
             # Let the ranges after the hit return at once and the workers
             # exit. Terminating busy workers can kill one while it holds the
@@ -409,6 +378,7 @@ def enumerate_breaks(
             stop.value = 1
             pool.close()
             pool.join()
+    _SEARCH = ()  # drop the task, its memos and the indices
     elapsed = int((time.perf_counter() - t0) * 1000)
     counters = dict(zip(COUNTERS, counts))
     if hit is not None:

@@ -49,9 +49,6 @@ class TouchingL:
     def right_end(self) -> Pt:
         return (self.corner[0] + self.right_len, self.corner[1])
 
-    def points(self) -> tuple[Pt, Pt, Pt]:
-        return (self.top, self.corner, self.right_end)
-
 
 @dataclass(frozen=True)
 class Contact:

@@ -53,6 +53,8 @@ from .graphs import (
 F = Fraction
 Pt = tuple[Fraction, Fraction]
 
+GRID_CONSTANT = 4  # the compacted grid's dimensions are at most 4n
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -334,9 +336,12 @@ def compact_grid(rep: StringRep) -> tuple[StringRep, tuple[int, int]]:
     the input's coordinates, and a segment's cuts on x-lines and y-lines are
     ordered by integer parameters over one denominator, so a point on both
     lines is one cut. Collinear points are dropped on the same integers
-    before one `Fraction` is built per output coordinate."""
+    before one `Fraction` is built per output coordinate. The map does not
+    keep a circle a circle, so a circle witness with curves is rejected."""
     if not rep.curves:
         return rep, (0, 0)
+    if isinstance(rep.witness, CircleWitness):
+        raise ValueError("cannot compact a circle witness")
     xs = sorted({p[0] for c in rep.curves.values() for p in c.points})
     ys = sorted({p[1] for c in rep.curves.values() for p in c.points})
     grid = [F(i) for i in range(max(len(xs), len(ys)))]

@@ -41,7 +41,7 @@ from strandkit.graphs import (
 )
 from strandkit.oracle import ONE_END, decide_fixed, enumerate_breaks
 from strandkit.sp import build_sp
-from strandkit.vpg import build_vpg
+from strandkit.vpg import GRID_CONSTANT, build_vpg
 
 from conftest import atlas_connected_outerplanar
 
@@ -77,9 +77,6 @@ def test_criterion_1_thm3_circle_corpus():
         failures == 0 and elapsed < 60.0,
         f"failures={failures} elapsed={elapsed:.1f}s (budget 60s)",
     )
-
-
-GRID_CONSTANT = 4  # recorded implementation constant: grid dimension <= 4n
 
 
 def test_criterion_2_thm4_vpg_corpus():
@@ -136,7 +133,7 @@ def test_criterion_4_oracle_constructor_cross_validation():
     for g in graphs:
         b = build_circle(g)
         breaks = [b.breaks[v] for v in range(g.n)]
-        if not decide_fixed(b.plane, breaks, BOTH_ENDS, gadgets=True):
+        if not decide_fixed(b.plane, breaks, BOTH_ENDS):
             bad += 1
     _report(
         "4 (oracle validates circle breaks, all connected outer-planar n<=7)",

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from strandkit import cli
 from strandkit.cli import _parser, main
 
 
@@ -318,3 +319,15 @@ def test_repro_quick(tmp_path):
                  "--out", str(tmp_path / "d.json")]) == 0
     m = json.loads(mf.read_text())
     assert m["extra"]["note"].startswith("evidence")
+
+
+def test_repro_thm4_checks_grid_bound(tmp_path, monkeypatch):
+    # the grid bound is checked, not only recorded: below the built grid the
+    # repro fails
+    out = tmp_path / "b.json"
+    argv = ["repro", "thm4", "--n", "15", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    grid = json.loads(out.read_text())["grid"]
+    monkeypatch.setattr(cli, "GRID_CONSTANT", (max(grid) - 1) / 15)
+    assert main(argv) == 1
+    assert json.loads(out.read_text())["ok"] is False

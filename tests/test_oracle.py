@@ -24,7 +24,6 @@ from strandkit.oracle import (
     BOTH_ENDS,
     COUNTERS,
     ONE_END,
-    build_H,
     decide_fixed,
     enumerate_breaks,
 )
@@ -42,28 +41,6 @@ def k3_plane():
 
 def path_plane():
     return PlaneGraph(Graph(3, [(0, 1), (1, 2)]), RotationScheme([(1,), (0, 2), (1,)]))
-
-
-def test_H_counts():
-    pg = path_plane()
-    H = build_H(pg, [0, 0, 0], gadgets=False)
-    assert H.node_count == pg.graph.edge_count + 2 * pg.graph.n
-    Hg = build_H(pg, [0, 0, 0], gadgets=True)
-    assert Hg.node_count == H.node_count + 4 * pg.graph.edge_count
-    assert is_planar_edges(H.node_count, list(H.edges))
-
-
-def test_H_degrees_ungadgetized():
-    pg = k3_plane()
-    H = build_H(pg, [0, 1, 0], gadgets=False)
-    deg = [0] * H.node_count
-    for u, v in H.edges:
-        deg[u] += 1
-        deg[v] += 1
-    ends = [deg[2 * v] for v in range(3)] + [deg[2 * v + 1] for v in range(3)]
-    crossings = deg[6:]
-    assert all(d == 1 for d in ends)
-    assert all(d == 4 for d in crossings)
 
 
 def test_k3_every_break_both_ends():
@@ -98,14 +75,20 @@ def test_monotone_consistency():
                 assert decide_fixed(pg, breaks)
 
 
+def plain_planar(pg, breaks, mode=None):
+    """The plain criterion: planarity of H without gadgets."""
+    task = oracle._Task(pg, mode)
+    return is_planar_edges(*task.edges(task.plain, breaks, [0] * task.n))
+
+
 def test_gadget_conservativity():
     rng = random.Random(5)
     for g in outerplanar_corpus(5, 8, seed=23):
         b = build_circle(g)
         for _ in range(5):
             breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
-            if decide_fixed(b.plane, breaks, BOTH_ENDS, gadgets=True):
-                assert decide_fixed(b.plane, breaks, BOTH_ENDS, gadgets=False)
+            if decide_fixed(b.plane, breaks, BOTH_ENDS):
+                assert plain_planar(b.plane, breaks, BOTH_ENDS)
 
 
 def test_circle_breaks_cross_validate():
@@ -113,7 +96,7 @@ def test_circle_breaks_cross_validate():
         g = random_maximal_outerplanar(5 + seed, seed=seed).graph
         b = build_circle(g)
         breaks = [b.breaks[v] for v in range(g.n)]
-        assert decide_fixed(b.plane, breaks, BOTH_ENDS, gadgets=True)
+        assert decide_fixed(b.plane, breaks, BOTH_ENDS)
 
 
 def test_parallel_determinism_yes():
@@ -177,7 +160,7 @@ def test_vpg_breaks_cross_validate():
         g = random_maximal_outerplanar(5 + seed, seed=seed).graph
         b = build_vpg(g)
         breaks = [b.breaks[v] for v in range(g.n)]
-        assert decide_fixed(b.plane, breaks, BOTH_ENDS, gadgets=True)
+        assert decide_fixed(b.plane, breaks, BOTH_ENDS)
 
 
 def test_gadgets_are_load_bearing():
@@ -191,8 +174,8 @@ def test_gadgets_are_load_bearing():
         g = pg.graph
         for _ in range(30):
             breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
-            plain = decide_fixed(pg, breaks, gadgets=False)
-            gad = decide_fixed(pg, breaks, gadgets=True)
+            plain = plain_planar(pg, breaks)
+            gad = decide_fixed(pg, breaks)
             assert plain or not gad  # conservativity: gadget yes => plain yes
             if plain and not gad:
                 saw_difference = True
@@ -456,25 +439,37 @@ def atlas_plane_graphs(max_n):
     return out
 
 
-def check_against_brute_force(pg, mode):
+EVERY_RUN = tuple(itertools.product((1, 2), (1, 7, 2048)))  # (jobs, chunk)
+
+
+def check_against_brute_force(pg, mode, runs=EVERY_RUN):
+    """The searches with each (jobs, chunk) in `runs` against the linear
+    scan of decide_fixed; returns the last verdict."""
     want = brute_force(pg, mode)
-    for jobs in (1, 2):
-        for chunk in (1, 7, 2048):
-            v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
-            assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
-            c = v.counters
-            # each plain test that misses is followed by one gadget test
-            assert c["planarity_calls"] == (c["prefix_attempts"] + 2 * c["shortcut_attempts"]
-                                            - c["shortcut_hits"])
+    for jobs, chunk in runs:
+        v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
+        assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
+        c = v.counters
+        # each plain test that misses is followed by one gadget test
+        assert c["planarity_calls"] == (c["prefix_attempts"] + 2 * c["shortcut_attempts"]
+                                        - c["shortcut_hits"])
     return v
 
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_enumerate_matches_brute_force_atlas(mode):
-    graphs = atlas_plane_graphs(5)
-    assert len(graphs) == 51  # every graph on 1..5 vertices but K5
-    for pg in graphs:
+    # every planar atlas graph with n <= 5, and with n = 6 in base and
+    # both-ends mode; no graph with n = 6 is a NO in one-end mode
+    graphs = atlas_plane_graphs(6)
+    small = [pg for pg in graphs if pg.graph.n <= 5]
+    assert len(small) == 51  # every graph on 1..5 vertices but K5
+    for pg in small:
         check_against_brute_force(pg, mode)
+    if mode != ONE_END:
+        six = [check_against_brute_force(pg, mode, ((1, 7),))
+               for pg in graphs if pg.graph.n == 6]
+        assert len(six) == 142
+        assert sum(v.status == "no" for v in six) == (16 if mode == BOTH_ENDS else 0)
 
 
 def test_enumerate_matches_brute_force_mixed_hits():

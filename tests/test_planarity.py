@@ -6,7 +6,7 @@ import pytest
 
 from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
 from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
-from strandkit.oracle import _Task, build_H
+from strandkit.oracle import BOTH_ENDS, _Task
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
 
@@ -198,13 +198,8 @@ def test_large_graphs_against_networkx(seed):
 
 def diagram_edges(pg, breaks, gadgets, apex):
     """Node count and edges of H, with an apex on every end node if `apex`."""
-    H = build_H(pg, breaks, gadgets)
-    edges = list(H.edges)
-    if not apex:
-        return H.node_count, edges
-    for tail, head in H.end_nodes:
-        edges += [(H.node_count, tail), (H.node_count, head)]
-    return H.node_count + 1, edges
+    t = _Task(pg, BOTH_ENDS if apex else None)
+    return t.edges(t.gadget if gadgets else t.plain, breaks, [0] * t.n)
 
 
 def test_k23_diagrams_against_networkx():

@@ -19,7 +19,7 @@ from strandkit.geom import (
     verify_outer_string,
 )
 from strandkit.graphs import Graph
-from strandkit.vpg import build_vpg, compact_grid, grid_size, rotate45
+from strandkit.vpg import GRID_CONSTANT, build_vpg, compact_grid, grid_size, rotate45
 
 from conftest import atlas_connected_outerplanar, outerplanar_corpus
 
@@ -161,11 +161,12 @@ def test_compact_grid_without_curves():
         assert compact_grid(rep) == (rep, (0, 0))
 
 
-def test_compact_grid_keeps_circle_witness():
+def test_compact_grid_rejects_circle_witness():
+    # the curve (1,1)-(3,1) would move to (0,0)-(1,0), which the circle
+    # centred at (2,1) with r = 3 no longer touches
     rep = StringRep({0: Curve(0, (pt(1, 1), pt(3, 1)))}, CircleWitness(pt(2, 1), F(9)))
-    out, grid = compact_grid(rep)
-    assert out.witness == rep.witness and grid == (1, 0)
-    assert out.curves[0].points == ((F(0), F(0)), (F(1), F(0)))
+    with pytest.raises(ValueError):
+        compact_grid(rep)
 
 
 def strip(n):
@@ -253,7 +254,7 @@ def test_grid_bound_linear():
     for n in (10, 30, 60):
         g = random_maximal_outerplanar(n, seed=n).graph
         b = build_vpg(g)
-        assert max(b.grid) <= 4 * n
+        assert max(b.grid) <= GRID_CONSTANT * n
         assert b.grid == grid_size(b.rep)
 
 
