@@ -533,22 +533,9 @@ class _PolyIndex(_Grid):
         self.shift = shift
         super().__init__([_fbox(a, b, self.shift) for a, b in self.segs])
 
-    def on_boundary(self, p: Point) -> bool:
-        fx, fy = _flt(p[0], self.shift), _flt(p[1], self.shift)
-        for i in self.near(fx, fx, fy, fy):
-            a, b = self.segs[i]
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            if (p[0] - a[0]) * dy != (p[1] - a[1]) * dx:
-                continue
-            if min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
-                a[1], b[1]
-            ):
-                return True
-        return False
-
     def inside(self, p: Point) -> bool:
-        """Strict interior by exact crossing number; call after ruling out
-        boundary membership."""
+        """Strict interior by exact crossing number, for a point off the
+        witness."""
         cnt = 0
         px, py = p
         fx, fy = _flt(px, self.shift), _flt(py, self.shift)
@@ -575,52 +562,51 @@ def verify_outer_string(rep: StringRep, mode: str = BOTH_ENDS) -> Report:
     if isinstance(w, CircleWitness):
         for v in sorted(rep.curves):
             c = rep.curves[v]
-            for p in c.points:
-                if _circle_side(w, p) > 0:
-                    failures.append(_fail("WitnessCrossesCurve", vertex=v, point=_pp(p)))
-                    break
-            on = [_circle_side(w, c.tail) == 0, _circle_side(w, c.head) == 0]
-            _check_ends(failures, v, on, mode)
+            sides = [_circle_side(w, p) for p in c.points]
+            if 1 in sides:
+                out = c.points[sides.index(1)]
+                failures.append(_fail("WitnessCrossesCurve", vertex=v, point=_pp(out)))
+            _check_ends(failures, v, [sides[0] == 0, sides[-1] == 0], mode)
     else:
         # one float scale for the witness and every curve point it is asked about
         points = w.points + tuple(p for c in rep.curves.values() for p in c.points)
         index = _PolyIndex(w, _shift(points))
         for v in sorted(rep.curves):
             c = rep.curves[v]
-            bad = False
-            for a, b in c.segments:
-                ts = {Fraction(0), Fraction(1)}
+            # the arc positions where c meets the witness, and the (from, to)
+            # positions of the stretches where it runs along a witness segment
+            meets, runs = set(), []
+            for k, (a, b) in enumerate(c.segments):
                 for i in index.near(*_fbox(a, b, index.shift)):
                     r = segment_intersection((a, b), index.segs[i])
-                    if r is None:
-                        continue
-                    pts = (r.start, r.end) if isinstance(r, SegmentOverlap) else (r,)
-                    for p in pts:
-                        ts.add(_param_on(a, b, p))
-                cuts = sorted(ts)
-                for t0, t1 in zip(cuts, cuts[1:]):
-                    tm = (t0 + t1) / 2
-                    m = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-                    if index.on_boundary(m):
-                        continue
-                    if not index.inside(m):
-                        failures.append(_fail("WitnessCrossesCurve", vertex=v, point=_pp(m)))
-                        bad = True
-                        break
-                if bad:
+                    if isinstance(r, SegmentOverlap):
+                        run = sorted((_position(k, a, b, r.start), _position(k, a, b, r.end)))
+                        meets.update(run)
+                        runs.append(run)
+                    elif r is not None:
+                        meets.add(_position(k, a, b, r))
+            ends = [(0, Fraction(0)), (len(c.points) - 2, Fraction(1))]
+            # between two consecutive stops c stays on one side of the witness:
+            # test the midpoint of the stretch's first piece, unless it runs along
+            stops = sorted(meets.union(ends))
+            for (k, t), q in zip(stops, stops[1:]):
+                if any(lo <= (k, t) < hi for lo, hi in runs):
+                    continue
+                if t == 1:  # a bend: the stretch starts on the next segment
+                    k, t = k + 1, Fraction(0)
+                a, b = c.points[k], c.points[k + 1]
+                tm = (t + (q[1] if q[0] == k else 1)) / 2
+                m = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
+                if not index.inside(m):
+                    failures.append(_fail("WitnessCrossesCurve", vertex=v, point=_pp(m)))
                     break
-            on = [index.on_boundary(c.tail), index.on_boundary(c.head)]
-            _check_ends(failures, v, on, mode)
+            _check_ends(failures, v, [e in meets for e in ends], mode)
     return Report(not failures, tuple(failures))
 
 
 def _check_ends(failures, v, on, mode):
-    if mode == BOTH_ENDS:
-        if not (on[0] and on[1]):
-            failures.append(_fail("EndpointNotOnContour", vertex=v, tail=on[0], head=on[1]))
-    else:
-        if not (on[0] or on[1]):
-            failures.append(_fail("EndpointNotOnContour", vertex=v, tail=on[0], head=on[1]))
+    if not (all if mode == BOTH_ENDS else any)(on):
+        failures.append(_fail("EndpointNotOnContour", vertex=v, tail=on[0], head=on[1]))
 
 
 def _param_on(a: Point, b: Point, p: Point) -> Fraction:

@@ -88,14 +88,14 @@ def rep_from_json(data: dict) -> StringRep:
         for v, pts in data["curves"].items()
     }
     w = data.get("witness")
-    witness = None
-    if w:
-        if "circle" in w:
-            c = w["circle"]
-            witness = CircleWitness(_pt_parse(c["center"]), Fraction(*c["radius2"]))
-        elif "polyline" in w:
-            witness = PolylineWitness(tuple(_pt_parse(q) for q in w["polyline"]))
-    return StringRep(curves, witness)
+    if w is None:
+        return StringRep(curves)
+    if not (isinstance(w, dict) and len(w) == 1 and w.keys() <= {"circle", "polyline"}):
+        raise ValueError("a witness must be null or have exactly one key, circle or polyline")
+    if "circle" in w:
+        c = w["circle"]
+        return StringRep(curves, CircleWitness(_pt_parse(c["center"]), Fraction(*c["radius2"])))
+    return StringRep(curves, PolylineWitness(tuple(_pt_parse(q) for q in w["polyline"])))
 
 
 def dumps(data) -> str:

@@ -81,10 +81,9 @@ class TouchingBuild:
     elim: EliminationOrder
 
 
-def build_touching_L(g: Graph, elim: EliminationOrder | None = None) -> TouchingBuild:
+def build_touching_L(g: Graph) -> TouchingBuild:
     """Touching-L representation of the 2-tree completion of g."""
-    if elim is None:
-        elim = two_tree_completion(g)
+    elim = two_tree_completion(g)
     completed = completed_two_tree(g, elim)
     ls: dict[int, TouchingL] = {}
     contacts: ContactMap = {}

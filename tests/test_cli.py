@@ -143,6 +143,13 @@ MALFORMED = {
     "zero_vertices": ("g.json", '{"n": 0, "edges": []}'),
     "negative_vertices": ("g.json", '{"n": -2, "edges": []}'),
     "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
+    "witness_unknown_key": ("rep.json", json.dumps({
+        "curves": {"0": [[0, 1, 0, 1], [1, 1, 1, 1]]},
+        "witness": {"polygon": [[0, 1, 0, 1], [2, 1, 0, 1], [0, 1, 2, 1]]}})),
+    "witness_both_keys": ("rep.json", json.dumps({
+        "curves": {"0": [[0, 1, 0, 1], [1, 1, 1, 1]]},
+        "witness": {"circle": {"center": [0, 1, 0, 1], "radius2": [1, 1]},
+                    "polyline": [[0, 1, 0, 1], [2, 1, 0, 1], [0, 1, 2, 1]]}})),
     # a triangle's rep, checked against a 4-vertex path
     "curves_not_vertices": ("rep.json", json.dumps({"curves": {
         "0": [[-3, 5, 4, 5], [3, 5, -4, 5]],
@@ -166,7 +173,9 @@ def test_malformed_input_exit_code(tmp_path, case, capsys):
         argv = ["build", "circle", str(bad), "--out", str(tmp_path / "rep.json")]
     assert main(["--manifest", str(mf), *argv]) == 2
     assert json.loads(mf.read_text())["exit_code"] == 2
-    assert "malformed input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed input" in err
+    assert ("a witness must be" in err) == case.startswith("witness")
 
 
 @pytest.mark.parametrize("flag", [["--limit", "-3"], ["--limit", "0"],
@@ -305,6 +314,45 @@ def test_embed_check(tmp_path):
     g = tmp_path / "g.json"
     main(["gen", "wheel", "--n", "5", "--out", str(g)])
     assert main(["embed", str(g), "--check"]) == 0
+
+
+def test_embed_computes_rotation(tmp_path):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    out = tmp_path / "k4.json"
+    assert main(["embed", str(k4), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rotation"]) == 4
+    assert main(["embed", str(out), "--check"]) == 0
+
+
+def test_oracle_reads_rotation_from_graph_json(tmp_path):
+    g = tmp_path / "w.json"
+    out = tmp_path / "v.json"
+    assert main(["gen", "wheel", "--n", "5", "--out", str(g)]) == 0
+    assert "rotation" in json.loads(g.read_text())
+    assert main(["oracle", str(g), "--mode", "both-ends", "--out", str(out)]) == 0
+    v = json.loads(out.read_text())
+    assert (v["status"], v["tried"]) == ("no", 1215)
+
+
+def test_oracle_rejects_nonplanar_graph(tmp_path, capsys):
+    k5 = tmp_path / "k5.txt"
+    k5.write_text("".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+    assert main(["oracle", str(k5)]) == 2
+    assert "not planar" in capsys.readouterr().err
+
+
+def test_readme_quick_demo(tmp_path, monkeypatch):
+    # every command of README's quick demo block runs and exits 0
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("Quick demo:\n", 1)[1].split("```")[1]
+    commands = [line.split() for line in block.strip().splitlines()]
+    assert commands and all(argv[0] == "strandkit" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert "repro" in (argv[1] for argv in commands)
 
 
 def test_repro_quick(tmp_path):

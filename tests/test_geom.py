@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandkit.circle import build_circle, chord_to_geometry
+from strandkit.circle import build_circle, chord_to_geometry, circle_point
 from strandkit import geom
 from strandkit.errors import (
     CurveOverlap,
@@ -25,6 +25,7 @@ from strandkit.geom import (
     CircleWitness,
     Curve,
     PolylineWitness,
+    Report,
     SegmentOverlap,
     StringRep,
     crossing_profile,
@@ -550,3 +551,167 @@ def test_verify_beyond_float_range():
             base = verify_outer_string(rep, mode)
             moved = verify_outer_string(_moved(rep, s, tx, ty), mode)
             assert _report_back(moved, s, tx, ty) == _report_back(base, 1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# outer-string verification against the per-segment reference
+# ---------------------------------------------------------------------------
+
+
+def _on_boundary(index, p):
+    """Whether p lies on a segment of the indexed witness."""
+    fx, fy = geom._flt(p[0], index.shift), geom._flt(p[1], index.shift)
+    for i in index.near(fx, fx, fy, fy):
+        a, b = index.segs[i]
+        if (p[0] - a[0]) * (b[1] - a[1]) == (p[1] - a[1]) * (b[0] - a[0]) and (
+            min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+        ):
+            return True
+    return False
+
+
+def per_segment_outer_string(rep, skips):
+    """Reference, both modes: cut every curve segment where it meets the
+    witness, test each piece's midpoint (skipped, and counted in `skips`,
+    when it lies on the witness) and ask the witness about both curve ends."""
+    w = rep.witness
+    if isinstance(w, PolylineWitness):
+        points = w.points + tuple(p for c in rep.curves.values() for p in c.points)
+        index = geom._PolyIndex(w, geom._shift(points))
+    failures = {BOTH_ENDS: [], ONE_END: []}
+    for v in sorted(rep.curves):
+        c = rep.curves[v]
+        out = []
+        if isinstance(w, CircleWitness):
+            out = [p for p in c.points if geom._circle_side(w, p) > 0][:1]
+            on = [geom._circle_side(w, p) == 0 for p in (c.tail, c.head)]
+        else:
+            for a, b in c.segments:
+                ts = {F(0), F(1)}
+                for i in index.near(*geom._fbox(a, b, index.shift)):
+                    r = segment_intersection((a, b), index.segs[i])
+                    if r is not None:
+                        pts = (r.start, r.end) if isinstance(r, SegmentOverlap) else (r,)
+                        ts.update(geom._param_on(a, b, p) for p in pts)
+                cuts = sorted(ts)
+                mids = [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                        for t in ((t0 + t1) / 2 for t0, t1 in zip(cuts, cuts[1:]))]
+                skips[0] += sum(_on_boundary(index, m) for m in mids)
+                out = [m for m in mids if not _on_boundary(index, m) and not index.inside(m)][:1]
+                if out:
+                    break
+            on = [_on_boundary(index, c.tail), _on_boundary(index, c.head)]
+        for mode, ends_ok in ((BOTH_ENDS, on[0] and on[1]), (ONE_END, on[0] or on[1])):
+            if out:
+                failures[mode].append(
+                    geom._fail("WitnessCrossesCurve", vertex=v, point=geom._pp(out[0])))
+            if not ends_ok:
+                failures[mode].append(
+                    geom._fail("EndpointNotOnContour", vertex=v, tail=on[0], head=on[1]))
+    return {mode: Report(not fs, tuple(fs)) for mode, fs in failures.items()}
+
+
+def _outer_mutants(rep, rng):
+    """Curves of rep with one point moved onto a witness vertex, onto a
+    witness segment, nearby or far away, with both ends pulled in, and laid
+    along the witness."""
+    circle = isinstance(rep.witness, CircleWitness)
+    # the witness's vertices, or seven points on the unit circle
+    wpts = [circle_point(F(k, 7)) for k in range(7)] if circle else list(rep.witness.points)
+    fpts = [(float(x), float(y)) for x, y in wpts]
+    vs = sorted(rep.curves)
+    shapes = []
+    for how in ("vertex", "segment", "near") * 3 + ("far",):
+        v = rng.choice(vs)
+        pts = list(rep.curves[v].points)
+        i = rng.randrange(len(pts))
+        x, y = pts[i]
+        # the witness vertex nearest to the point, and the segment after it
+        fx, fy = float(x), float(y)
+        k = min(range(len(wpts)), key=lambda k: abs(fpts[k][0] - fx) + abs(fpts[k][1] - fy))
+        a, b = wpts[k], wpts[(k + 1) % len(wpts)]
+        if how == "vertex":
+            p = a
+        elif how == "segment":
+            t = F(rng.randint(1, 9), 10)
+            p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        elif how == "near":
+            p = (x + F(rng.choice((-1, 1)), rng.choice((2, 3, 7))), y + F(rng.randint(-1, 1), 3))
+        else:
+            p = (x + 10**6, y - 10**6)
+        shapes.append((v, pts[:i] + [p] + pts[i + 1:]))
+    for v in rng.sample(vs, min(2, len(vs))):
+        # both ends a third of the way along their segments
+        pts = list(rep.curves[v].points)
+        tail = tuple(p + (q - p) / 3 for p, q in zip(pts[0], pts[1]))
+        head = tuple(p + (q - p) / 3 for p, q in zip(pts[-1], pts[-2]))
+        shapes.append((v, [tail] + pts[1:-1] + [head]))
+    if not circle:
+        k = rng.randrange(len(wpts))
+        a, b, c = (wpts[(k + j) % len(wpts)] for j in range(3))
+        mid = tuple((p + q) / 2 for p, q in zip(a, b))
+        v = rng.choice(vs)
+        inner = rep.curves[v].points[len(rep.curves[v].points) // 2]
+        for pts in ((a, b), (a, mid), (a, b, c), (mid, b, c), (mid, b, inner), (inner, mid, b)):
+            shapes.append((v, pts))
+    curves = []
+    for v, pts in shapes:
+        try:
+            curves.append(Curve(v, tuple(pts)))
+        except InvalidCurve:  # the move repeated a point
+            pass
+    return curves
+
+
+def _moved_any(rep, s, tx, ty):
+    """rep moved by p -> s*p + (tx, ty), a circle witness included."""
+    w = rep.witness
+    if isinstance(w, PolylineWitness):
+        return _moved(rep, s, tx, ty)
+    curves = _moved(StringRep(rep.curves), s, tx, ty).curves
+    center = (w.center[0] * s + tx, w.center[1] * s + ty)
+    return StringRep(curves, CircleWitness(center, w.radius2 * s * s))
+
+
+def _outer_corpus():
+    """The compacted, diagonal-frame and circle reps of maximal outer-planar
+    graphs with n = 3..30, and for each a rep of its mutant curves alone; for
+    every third n, a copy of that moved by an integer scale and translation,
+    and for n <= 10, a rep with all the mutant curves put in place."""
+    rng = random.Random(20261019)
+    corpus = []
+    for n in range(3, 31):
+        g = random_maximal_outerplanar(n, seed=n).graph
+        b = build_vpg(g)
+        for rep in (b.rep, b.diag_rep, chord_to_geometry(build_circle(g).diagram)):
+            curves = _outer_mutants(rep, rng)
+            alone = StringRep({k: Curve(k, c.points) for k, c in enumerate(curves)}, rep.witness)
+            corpus += [rep, alone]
+            if n % 3 == 0:
+                s = rng.randint(2, 1000)
+                tx, ty = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+                corpus.append(_moved_any(alone, s, tx, ty))
+            if n <= 10:
+                in_place = {**rep.curves, **{c.vertex: c for c in curves}}
+                corpus.append(StringRep(in_place, rep.witness))
+    return corpus
+
+
+def test_outer_string_matches_per_segment_reference():
+    """Same reports as the per-segment verifier in both modes on a seeded
+    corpus; the corpus reaches a curve along the witness, a one-end failure
+    and a circle rep with a point outside."""
+    skips, seen = [0], set()
+    for rep in _outer_corpus():
+        want = per_segment_outer_string(rep, skips)
+        circle = isinstance(rep.witness, CircleWitness)
+        for mode in (BOTH_ENDS, ONE_END):
+            got = verify_outer_string(rep, mode)
+            assert got == want[mode]
+            seen.update((mode, circle, f["kind"]) for f in got.failures)
+    assert skips[0] > 0
+    assert {
+        (ONE_END, False, "EndpointNotOnContour"), (ONE_END, True, "EndpointNotOnContour"),
+        (BOTH_ENDS, False, "WitnessCrossesCurve"), (BOTH_ENDS, True, "WitnessCrossesCurve"),
+    } <= seen
