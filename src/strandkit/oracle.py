@@ -9,16 +9,17 @@ adjacent to the required end nodes.
 
 `decide_fixed` decides one vector by that definition, a single planarity
 test of the gadget diagram, and is the reference that searches are checked
-against. `decide_fixed` and `enumerate_breaks` each build one `_Task`, a
-plane graph in one outer mode. Its one diagram builder, `_Task.layout`, lays
-out the plain or the gadget diagram of the plane graph induced on any vertex
-set, all vertices included, as static edges plus one edge tuple per (vertex,
-break, end bit). The rows are indexed by the full break of each vertex, so a
-search over any vertex set needs no map of its breaks.
+against. It and `enumerate_breaks` each lay out the diagrams of a plane
+graph in one outer mode in one `_Task`, whose rows are indexed by the full
+break of each vertex, so a search over any vertex set maps no breaks.
 
 Enumeration walks the mixed-radix space of all break vectors (times the
-end choices in one-end mode), optionally in parallel over fixed-size chunks;
-verdicts are independent of the worker count.
+end choices in one-end mode) in chunks. Worker w of `jobs` scans chunks w,
+w + jobs, ...; the caller is worker 0 and forks the others, which send
+their first hit and counts back over a pipe. A worker records the chunk of
+its hit in a shared array, and no worker starts a chunk after a recorded
+one, so each chunk before the first hit is scanned and the verdict does
+not depend on `jobs`. Each worker keeps its own rung memos.
 
 The plain diagram and every induced diagram are minors of the gadget
 diagram, so a non-planar one rules a vector out at a fraction of the cost.
@@ -37,8 +38,11 @@ and hits, and the rungs' planarity tests and hits, summed over the workers.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,8 +62,9 @@ class Verdict:
     tried: int
     total: int
     elapsed_ms: int
-    # the search's counts by COUNTERS name; they depend on the chunking and
-    # the worker count, so they are neither compared nor part of to_json()
+    # the search's counts by COUNTERS name; they depend on the chunking, the
+    # worker count and, with two or more workers and a hit, on when the
+    # workers stop, so they are neither compared nor part of to_json()
     counters: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -99,7 +104,9 @@ class _Task:
     bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
-        mode = _norm_mode(mode)
+        mode = None if mode == "base" else mode
+        if mode not in (None, BOTH_ENDS, ONE_END):
+            raise ValueError(f"unknown outer mode {mode!r}")
         g = pg.graph
         pg.rot.validate(g)
         n = g.n
@@ -228,14 +235,6 @@ class _Rung:
         return self.task.layout(self.keep)
 
 
-def _norm_mode(outer_mode) -> str | None:
-    if outer_mode in (None, "base"):
-        return None
-    if outer_mode in (BOTH_ENDS, ONE_END):
-        return outer_mode
-    raise ValueError(f"unknown outer mode {outer_mode!r}")
-
-
 def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:
     """Planarity of the gadget diagram of one vector, with the apex in outer
     modes: the definition, with no rung or plain test before it."""
@@ -278,72 +277,58 @@ def _realizable(task: _Task, breaks, ends) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
-_SEARCH: tuple = ()  # (task, indices, stop flag) of the search; forked workers inherit it
 
-
-def _scan_range(bounds):
-    """The first realizable position in [lo, hi) of the search's indices, or
-    None, and the counts of this range. Where the indices are range(span),
-    a refuting rung moves the scan to its next block, clamped to hi; sampled
-    indices step by one. The rungs' memos carry over between ranges. A set
-    stop flag ends the scan: the search already has its result."""
-    lo, hi = bounds
-    task, indices, stop = _SEARCH
-    task.counts = [0] * len(COUNTERS)
+def _scan(task: _Task, indices, span: int, chunk: int, stride: int, w: int, first):
+    """Worker w's first realizable (position, breaks, ends), or None. Where
+    the indices are range(span), a refuting rung moves the scan to its next
+    block, clamped to the chunk's end; sampled indices step by one."""
     blocks = isinstance(indices, range)
-    i = lo
-    while i < hi:
-        if stop is not None and stop.value:
-            break
-        breaks, ends = task.decode(indices[i])
-        span = _realizable(task, breaks, ends)
-        if not span:
-            return (i, tuple(breaks), tuple(ends) if task.one_end else None), task.counts
-        i = min(hi, i - i % span + span) if blocks else i + 1
-    return None, task.counts
+    for c in range(w, -(-span // chunk), stride):
+        i, hi = c * chunk, min(span, c * chunk + chunk)
+        while i < hi:
+            if min(first) < c:  # a worker hit an earlier chunk, or failed (-1)
+                return None
+            breaks, ends = task.decode(indices[i])
+            step = _realizable(task, breaks, ends)
+            if not step:
+                first[w] = c
+                return i, tuple(breaks), tuple(ends) if task.one_end else None
+            i = min(hi, i - i % step + step) if blocks else i + 1
+    return None
 
 
-def _ranges(span: int, chunk: int, stop=None):
-    """The chunks [lo, hi) of range(span), made only as they are taken: an
-    exhaustive space can have far more chunks than memory holds. A set stop
-    flag ends them, so that closing the pool does not drain the rest."""
-    for lo in range(0, span, chunk):
-        if stop is not None and stop.value:
-            return
-        yield lo, min(lo + chunk, span)
+def _child(scan, w: int, first, fd: int):
+    """Worker w in a forked child: send (True, scan(w)), or (False, its error) after
+    stopping every worker, to fd; os._exit flushes no caller's buffer and runs no atexit."""
+    try:
+        try:
+            out = True, scan(w)
+        except BaseException as exc:
+            first[w] = -1
+            out = False, f"{type(exc).__name__}: {exc}"
+        os.write(fd, marshal.dumps(out))
+    finally:
+        os._exit(0)
 
 
-def _first_hit(results):
-    """The first hit among the range results, taken in range order, and the
-    counts summed up to it."""
-    counts = [0] * len(COUNTERS)
-    for hit, range_counts in results:
-        counts = [a + b for a, b in zip(counts, range_counts)]
-        if hit is not None:
-            return hit, counts
-    return None, counts
+def _receive(w: int, fd: int):
+    """Worker w's (hit, counts) from its pipe; a StrandkitError names its error."""
+    data = open(fd, "rb", closefd=False).read()
+    ok, out = marshal.loads(data) if data else (False, "it ended without a result")
+    if not ok:
+        raise StrandkitError(f"search worker {w} failed: {out}")
+    return out
 
 
-def enumerate_breaks(
-    pg: PlaneGraph,
-    outer_mode=None,
-    budget: int | None = None,
-    jobs: int = 1,
-    seed: int = 0,
-    chunk: int = 2048,
-    limit: int | None = None,
-) -> Verdict:
-    """Search the break-vector space.
-
-    budget=None scans indices in canonical mixed-radix order (exhaustive, or
-    the first `limit` of them); budget=N draws N seeded uniform samples, and
-    excludes `limit`. The verdict (including the witness) does not depend on
-    `jobs`.
-    """
-    if chunk < 1:
-        raise StrandkitError(f"chunk must be at least 1, got {chunk}")
-    if limit is not None and limit < 1:
-        raise StrandkitError(f"limit must be at least 1, got {limit}")
+def enumerate_breaks(pg: PlaneGraph, outer_mode=None, budget: int | None = None, jobs: int = 1,
+                     seed: int = 0, chunk: int = 2048, limit: int | None = None) -> Verdict:
+    """Search the break-vector space with `jobs` workers. budget=None scans
+    indices in canonical mixed-radix order (exhaustive, or the first `limit`
+    of them); budget=N draws N seeded uniform samples, and excludes `limit`.
+    The verdict (including the witness) does not depend on `jobs`."""
+    for name, value in (("jobs", jobs), ("chunk", chunk), ("limit", limit)):
+        if value is not None and value < 1:
+            raise StrandkitError(f"{name} must be at least 1, got {value}")
     if budget is not None and limit is not None:
         raise StrandkitError("a sample budget and a limit exclude each other")
     task = _Task(pg, outer_mode)
@@ -360,27 +345,42 @@ def enumerate_breaks(
         span = total if limit is None else min(limit, total)
         indices = range(span)
 
-    global _SEARCH
-    if jobs <= 1 or span <= chunk:
-        _SEARCH = (task, indices, None)
-        hit, counts = _first_hit(map(_scan_range, _ranges(span, chunk)))
-    else:
-        import multiprocessing as mp
+    import mmap  # here, so that importing the library does not pay for it
+    workers = min(jobs, -(-span // chunk))
+    first = memoryview(mmap.mmap(-1, 8 * workers)).cast("q")  # shared by the forks
+    for w in range(workers):
+        first[w] = sys.maxsize  # no hit yet
 
-        ctx = mp.get_context("fork")
-        stop = ctx.RawValue("b", 0)
-        _SEARCH = (task, indices, stop)
-        with ctx.Pool(jobs) as pool:
-            hit, counts = _first_hit(pool.imap(_scan_range, _ranges(span, chunk, stop)))
-            # Let the ranges after the hit return at once and the workers
-            # exit. Terminating busy workers can kill one while it holds the
-            # result queue's lock, and Pool.terminate then hangs.
-            stop.value = 1
-            pool.close()
-            pool.join()
-    _SEARCH = ()  # drop the task, its memos and the indices
+    def scan(w):
+        return _scan(task, indices, span, chunk, workers, w, first), task.counts
+
+    kids = []  # (pid, read end of its pipe) per child
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(scan, w, first, wr)
+                kids.append((pid, r))
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(wr)
+        results = [scan(0)] + [_receive(w, r) for w, (_, r) in enumerate(kids, 1)]
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in kids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, r in kids:
+            os.close(r)
+            os.waitpid(pid, 0)
+    hit = min((h for h, _ in results if h is not None), default=None)
+    counters = dict(zip(COUNTERS, map(sum, zip(*(c for _, c in results)))))
     elapsed = int((time.perf_counter() - t0) * 1000)
-    counters = dict(zip(COUNTERS, counts))
     if hit is not None:
         i, breaks, ends = hit
         return Verdict("yes", breaks, ends, i + 1, total, elapsed, counters)

@@ -230,6 +230,23 @@ def test_bad_jobs_environment_exit_code(tmp_path, monkeypatch):
     assert main(["repro", "sec5-k23"]) == 2
 
 
+@pytest.mark.parametrize("argv, env", [(["oracle", "--jobs", "0"], None),
+                                       (["oracle", "--jobs", "-3"], None),
+                                       (["oracle"], "0"),
+                                       (["repro", "sec5-k23"], "0")])
+def test_jobs_below_one_exit_code(tmp_path, monkeypatch, capsys, argv, env):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    if env is not None:
+        monkeypatch.setenv("STRANDKIT_JOBS", env)
+    if argv[0] == "oracle":
+        argv = ["oracle", str(g), *argv[1:]]
+    mf = tmp_path / "m.json"
+    assert main(["--manifest", str(mf), *argv, "--out", str(tmp_path / "x.json")]) == 2
+    assert json.loads(mf.read_text())["exit_code"] == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["gen", "partial-2tree", "--density", "nan"],
                                   ["gen", "partial-2tree", "--density", "1.5"],
                                   ["repro", "lem2", "--density", "nan"]])

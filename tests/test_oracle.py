@@ -186,7 +186,7 @@ def test_gadgets_are_load_bearing():
 
 def test_chunk_and_limit_validated():
     for kwargs in ({"chunk": 0}, {"chunk": -1}, {"limit": 0}, {"limit": -3},
-                   {"budget": 5, "limit": 3}):
+                   {"budget": 5, "limit": 3}, {"jobs": 0}, {"jobs": -3}):
         with pytest.raises(StrandkitError):
             enumerate_breaks(k3_plane(), **kwargs)
 
@@ -574,3 +574,69 @@ def test_exhaustive_search_of_huge_space_stops_at_first_hit(jobs):
     g = random_maximal_outerplanar(30, 1).graph
     total = math.prod(g.degree(v) for v in range(g.n))
     assert out.split() == ["yes", "1", str(total)]
+
+
+def test_two_worker_counters_without_hit_repeat():
+    # static stripes: with no hit, which chunks a worker scans, and so what
+    # its rung memos hold, does not depend on timing
+    thm2 = triple_stellation(random_planar_3tree(6, 1))
+    for search in (lambda: enumerate_breaks(extended_wheel(3), BOTH_ENDS, jobs=2, chunk=64),
+                   lambda: enumerate_breaks(thm2, None, budget=128, jobs=2, chunk=32)):
+        first, again = search(), search()
+        assert first.witness is None and first.counters == again.counters
+
+
+HYGIENE = """
+import atexit, os
+from strandkit import oracle
+from strandkit.errors import StrandkitError
+from strandkit.families import extended_wheel, random_planar_3tree, triple_stellation, wheel
+from strandkit.oracle import BOTH_ENDS, enumerate_breaks
+
+
+def all_reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+atexit.register(print, "atexit")
+print("buffered")  # stdout is a pipe: the line stays in the buffer across the forks
+thm2 = triple_stellation(random_planar_3tree(6, 1))
+for pg, mode, kwargs, status in ((wheel(4), BOTH_ENDS, {"chunk": 1}, "yes"),
+                                 (extended_wheel(3), BOTH_ENDS, {"chunk": 7}, "no"),
+                                 (thm2, None, {"budget": 64, "chunk": 16}, "unknown")):
+    assert enumerate_breaks(pg, mode, jobs=2, **kwargs).status == status
+    assert all_reaped()
+
+caller, realizable = os.getpid(), oracle._realizable
+for in_child in (True, False):
+    def realizable_or_raise(*args, in_child=in_child):
+        if (os.getpid() != caller) == in_child:
+            raise RuntimeError("injected")
+        return realizable(*args)
+
+    oracle._realizable = realizable_or_raise
+    try:  # a scan of the whole Thm-2 space would not end
+        enumerate_breaks(thm2, None, jobs=2)
+    except StrandkitError as exc:
+        assert in_child and str(exc) == "search worker 1 failed: RuntimeError: injected", exc
+    except RuntimeError:
+        assert not in_child
+    else:
+        raise AssertionError("no error")
+    assert all_reaped()
+"""
+
+
+def test_search_workers_exit_cleanly():
+    # two-worker searches that end on a hit, with no hit, on samples, and
+    # with worker 1 or the caller raising while the other worker scans an
+    # endless space: each returns or raises, leaves no child unreaped, and
+    # no child flushes the caller's stdout buffer or runs its atexit hooks
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strandkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", HYGIENE], env=env, timeout=120, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "buffered\natexit\n"
