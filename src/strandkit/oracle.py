@@ -21,19 +21,19 @@ its hit in a shared array, and no worker starts a chunk after a recorded
 one, so each chunk before the first hit is scanned and the verdict does
 not depend on `jobs`. Each worker keeps its own rung memos.
 
-The plain diagram and every induced diagram are minors of the gadget
-diagram, so a non-planar one rules a vector out at a fraction of the cost.
-`_realizable`, the searches' per-vector step, tests the rungs of a prefix
-ladder, then the plain diagram, then the gadget diagram, which alone accepts
-a vector. The rungs are the induced diagrams of the first 8, 16, 32, ...
-vertices (fewer than n, and in one-end mode all n, laid out without the
+Deleting the hubs, which only accepting needs, leaves the hubless diagram,
+each crossing the 4-cycle rim of its wheel. It and every induced hubless
+diagram are minors of the gadget diagram, so a non-planar one rules a
+vector out at a fraction of the cost. `_realizable`, the searches'
+per-vector step, tests the rungs of a prefix ladder, then the hubless
+diagram of all vertices, then the gadget diagram, which alone accepts a
+vector. The rungs are the induced hubless diagrams of the first 8, 16, 32,
+... vertices (fewer than n, and in one-end mode all n, laid out without the
 apex) in canonical order, the highest degree first. A rung reads only its
 prefix's digits, the most significant of an index, so a refuting rung rules
 out its whole block of `span` indices, and an exhaustive or `limit` scan
 resumes after it; a memo of its verdicts by its prefix's rows (up to
 MEMO_CAP) tests a block once.
-`Verdict.counters` holds the planarity calls, the plain diagram's attempts
-and hits, and the rungs' planarity tests and hits, summed over the workers.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ class Verdict:
         }
 
 
+# `Verdict.counters`, summed over the workers: all planarity tests, the tests
+# and hits of the hubless diagram of all vertices, and those of the rungs
 COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
             "prefix_hits")
 
@@ -89,19 +91,19 @@ class _Task:
     """A plane graph's diagrams in one outer mode, each a triple (node count,
     static edges, rows) with H(breaks, ends) = static edges +
     rows[v][breaks[v]][ends[v]] over the vertices v. `layout` is the one
-    builder: it lays out the plain or the gadget diagram of the plane graph
-    induced on any vertex set, in rows indexed by this task's breaks. It
-    caches `plain`, `gadget` and `rungs`; `counts` follows COUNTERS.
+    builder: it lays out the gadget or the hubless diagram of the plane
+    graph induced on any vertex set, in rows indexed by this task's breaks.
+    It caches `hubless`, `gadget` and `rungs`; `counts` follows COUNTERS.
 
     The kept vertices, crossings (kept edges) and the apex are numbered in
     increasing order: the i-th kept vertex's curve runs from node 2i to node
-    2i+1. The two port rules differ only at a crossing: kept edge j is node
-    2k+j (k kept vertices), or a 4-wheel with hub 2k+5j whose rim the curve
-    of v enters and leaves at nodes 1 and 3 (v < w) or 2 and 4 (v > w) past
-    the hub. An outer mode puts an apex after a diagram's last node, joined
-    to both ends of every kept curve by static edges, or in one-end mode to
-    the end that each vertex's end bit picks; other modes ignore the end
-    bits."""
+    2i+1. Kept edge j is a 4-wheel, hub 2k+5j then its rim (k kept
+    vertices), or without hubs its rim alone from node 2k+4j. The curve of v
+    enters the rim at its first node (v < w) or its second (v > w) and
+    leaves it two nodes on. An outer mode puts an apex after a diagram's
+    last node, joined to both ends of every kept curve by static edges, or
+    in one-end mode to the end that each vertex's end bit picks; other modes
+    ignore the end bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = None if mode == "base" else mode
@@ -121,7 +123,7 @@ class _Task:
         self.counts = [0] * len(COUNTERS)
 
     @cached_property
-    def plain(self):
+    def hubless(self):
         return self.layout(range(self.n), False)
 
     @cached_property
@@ -143,8 +145,8 @@ class _Task:
                 for k in sizes + [self.n] * self.one_end
                 if any(max(rank[u], rank[v]) < k for u, v in self.pg.graph.edges)]
 
-    def layout(self, keep, gadgets: bool = True):
-        """The gadget diagram, or with `gadgets` False the plain one, of the
+    def layout(self, keep, hubs: bool = True):
+        """The gadget diagram, or with `hubs` False the hubless one, of the
         plane graph induced on the vertex set `keep`. Kept vertex v's row
         for break b is the path along the full clockwise order of v from b,
         through its crossings with kept neighbours only; with none it is one
@@ -159,38 +161,36 @@ class _Task:
         path, which one more contraction removes. What remains of a kept
         curve is its row above. The apex edges restrict the same way: what
         is left joins the apex to the kept end nodes that the outer mode
-        names. Contracting each wheel that is left to its hub gives the
-        plain diagram."""
+        names. Deleting the hubs leaves the hubless diagram; contracting its
+        rims leaves the plain one, so the plain one refutes no more."""
         g, rot = self.pg.graph, self.pg.rot
         loc = {v: i for i, v in enumerate(sorted(keep))}
         kept = [(u, v) for u, v in g.edges if u in loc and v in loc]
         eid = {}
         for j, (u, v) in enumerate(kept):
             eid[(u, v)] = eid[(v, u)] = j
-        width, leave = (5, 2) if gadgets else (1, 0)
+        width = 4 + hubs  # a crossing's nodes: its hub, if any, then its rim
         base = 2 * len(loc)
         apex = base + width * len(kept)
         static = []
-        if gadgets:
-            for hub in range(base, apex, 5):
-                r = [hub + 1, hub + 2, hub + 3, hub + 4]
-                static += [(hub, r[0]), (hub, r[1]), (hub, r[2]), (hub, r[3])]
-                static += [(r[0], r[1]), (r[1], r[2]), (r[2], r[3]), (r[3], r[0])]
+        for x in range(base + hubs, apex, width):  # the spokes, then the rim's cycle
+            static += [(x - 1, x + i) for i in range(4)] * hubs
+            static += [(x + i, x + (i + 1) % 4) for i in range(4)]
         if self.mode == BOTH_ENDS:
             static += [(apex, t) for t in range(base)]
         rows = [[((), ())] * d for d in self.degrees]
         for v, i in loc.items():
             tips = (((apex, 2 * i),), ((apex, 2 * i + 1),)) if self.one_end else ((), ())
             # the node where v's curve enters each crossing in clockwise
-            # order, None at an unkept neighbour; it leaves `leave` later
-            ports = [base + width * eid[(v, w)] + gadgets * (1 if v < w else 2) if w in loc
-                     else None for w in rot.order[v]]
+            # order, None at an unkept neighbour; it leaves two nodes later
+            ports = [base + width * eid[(v, w)] + hubs + (v > w) if w in loc else None
+                     for w in rot.order[v]]
             rows[v] = row = []
             for b in range(self.degrees[v]):
                 # the row of b - 1 holds unless b moves a kept neighbour
                 if b == 0 or ports[b - 1] is not None:
                     xs = [x for x in ports[b:] + ports[:b] if x is not None]
-                    path = tuple(zip([2 * i] + [x + leave for x in xs], xs + [2 * i + 1]))
+                    path = tuple(zip([2 * i] + [x + 2 for x in xs], xs + [2 * i + 1]))
                     entry = (path + tips[0], path + tips[1])
                 row.append(entry)
         return apex + (self.mode is not None), tuple(static), rows
@@ -224,7 +224,7 @@ class _Task:
 
 class _Rung:
     """The vertex set `keep` of a rung, its block size `span`, its verdicts
-    by the kept rows in `memo`, and its gadget diagram, laid out by `task`
+    by the kept rows in `memo`, and its hubless diagram, laid out by `task`
     on first test."""
 
     def __init__(self, task: _Task, keep: list[int], span: int):
@@ -232,12 +232,12 @@ class _Rung:
 
     @cached_property
     def diagram(self):
-        return self.task.layout(self.keep)
+        return self.task.layout(self.keep, False)
 
 
 def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:
     """Planarity of the gadget diagram of one vector, with the apex in outer
-    modes: the definition, with no rung or plain test before it."""
+    modes: the definition, with no rung or hubless test before it."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
@@ -248,7 +248,7 @@ def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bo
 
 def _realizable(task: _Task, breaks, ends) -> int:
     """0 when the gadget diagram of one vector is planar, else the span of
-    the first rung that refutes it, or 1 when the plain or gadget diagram
+    the first rung that refutes it, or 1 when the hubless or gadget diagram
     does. Planarity tests, not memo hits, are counted in `task.counts`."""
     counts = task.counts
     for rung in task.rungs:
@@ -266,7 +266,7 @@ def _realizable(task: _Task, breaks, ends) -> int:
             return rung.span
     counts[0] += 1
     counts[1] += 1
-    if not is_planar_edges(*task.edges(task.plain, breaks, ends)):
+    if not is_planar_edges(*task.edges(task.hubless, breaks, ends)):
         counts[2] += 1
         return 1
     counts[0] += 1
@@ -384,6 +384,6 @@ def enumerate_breaks(pg: PlaneGraph, outer_mode=None, budget: int | None = None,
     if hit is not None:
         i, breaks, ends = hit
         return Verdict("yes", breaks, ends, i + 1, total, elapsed, counters)
-    if budget is None and limit is None:
+    if budget is None and span == total:  # every vector tried
         return Verdict("no", None, None, total, total, elapsed, counters)
     return Verdict("unknown", None, None, span, total, elapsed, counters)

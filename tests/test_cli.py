@@ -352,6 +352,19 @@ def test_oracle_reads_rotation_from_graph_json(tmp_path):
     assert (v["status"], v["tried"]) == ("no", 1215)
 
 
+@pytest.mark.parametrize("limit, status", [(1214, "unknown"), (1215, "no"), (10**6, "no")])
+def test_oracle_limit(tmp_path, limit, status):
+    # W_5 both-ends has 1215 vectors and none is realizable: a limit that
+    # covers them all decides NO
+    g = tmp_path / "w.json"
+    out = tmp_path / "v.json"
+    assert main(["gen", "wheel", "--n", "5", "--out", str(g)]) == 0
+    assert main(["oracle", str(g), "--mode", "both-ends", "--limit", str(limit),
+                 "--out", str(out)]) == 0
+    v = json.loads(out.read_text())
+    assert (v["status"], v["tried"], v["total"]) == (status, min(limit, 1215), 1215)
+
+
 def test_oracle_rejects_nonplanar_graph(tmp_path, capsys):
     k5 = tmp_path / "k5.txt"
     k5.write_text("".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))

@@ -76,9 +76,8 @@ def test_monotone_consistency():
 
 
 def plain_planar(pg, breaks, mode=None):
-    """The plain criterion: planarity of H without gadgets."""
-    task = oracle._Task(pg, mode)
-    return is_planar_edges(*task.edges(task.plain, breaks, [0] * task.n))
+    """The plain criterion: planarity of H without gadgets, by the reference."""
+    return is_planar_edges(*diagram(pg, breaks, [0] * pg.graph.n, mode, False, plain=True))
 
 
 def test_gadget_conservativity():
@@ -206,16 +205,17 @@ def star_plane(k):
 
 def test_rung_skips_refuted_blocks(monkeypatch):
     # K_{1,8} in one-end mode has 8 * 2^9 vectors. Its rungs, the hub with
-    # leaves 1..7 and then with all leaves, laid out without the apex, read
-    # only the hub's break, the most significant digit: a block of 512
-    # indices per break. A scripted test per diagram, told apart by node
-    # count, makes the first rung non-planar at the hub's breaks 2 and 5, the
-    # second rung and the plain diagram always planar and the gadget diagram
-    # never, so the scan covers all 4096 indices
+    # leaves 1..7 and then with all leaves, laid out hubless without the
+    # apex, read only the hub's break, the most significant digit: a block of
+    # 512 indices per break. A scripted test per diagram, told apart by node
+    # count (a hubless crossing has 4 nodes), makes the first rung non-planar
+    # at the hub's breaks 2 and 5, the second rung and the hubless diagram
+    # always planar and the gadget diagram never, so the scan covers all
+    # 4096 indices
     pg = star_plane(8)
     rungs = oracle._Task(pg, ONE_END).rungs
     assert [(r.keep, r.span) for r in rungs] == [(list(range(8)), 512), (list(range(9)), 512)]
-    rung_nodes = 2 * 8 + 5 * 7
+    rung_nodes = 2 * 8 + 4 * 7
     gadget_nodes = 2 * 9 + 5 * 8 + 1
     decoded, gadget_at = [], []
     decode = oracle._Task.decode
@@ -275,8 +275,9 @@ def ladder(pg, mode):
     """The vertex sets of the search's prefix rungs, checked against their
     definition: the first 8, 16, 32, ... vertices in canonical order, fewer
     than n, and in one-end mode all n, where they span an edge; each with
-    the block of indices that its prefix's digits fix, and laid out by
-    `_Task.layout` in the task's mode, or in base mode for a one-end task."""
+    the block of indices that its prefix's digits fix, and laid out hubless
+    by `_Task.layout` in the task's mode, or in base mode for a one-end
+    task."""
     g = pg.graph
     order = canonical_order(g)
     task = oracle._Task(pg, mode)
@@ -288,24 +289,26 @@ def ladder(pg, mode):
     assert [sorted(keep) for keep in want] == [rung.keep for rung in task.rungs]
     for keep, rung in zip(want, task.rungs):
         assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) == task.total
-        assert rung.diagram == layout(keep)
+        assert rung.diagram == layout(keep, False)
     return want
 
 
-def diagram(pg, breaks, ends, mode, gadgets):
+def diagram(pg, breaks, ends, mode, gadgets, plain=False):
     """(node count, edges) of H by its definition: curve v from node 2v to
-    2v+1, edge j a crossing node 2n+j, or a 4-wheel with hub 2n+5j entered
-    at rim node 1 (v < w) or 2 (v > w) and left two past it, and the apex
-    last; the edges in the order that `_Task.edges` lists them."""
+    2v+1, and edge j a 4-wheel, hub 2n+5j then its rim, or without
+    `gadgets` the rim alone from node 2n+4j; the curve enters the rim at its
+    first node (v < w) or its second (v > w) and leaves two nodes on. With
+    `plain`, edge j is one crossing node 2n+j instead. The apex comes last,
+    and the edges in the order that `_Task.edges` lists them."""
     g, rot = pg.graph, pg.rot
     n = g.n
-    width = 5 if gadgets else 1
+    width = 1 if plain else 4 + gadgets
     apex = 2 * n + width * g.edge_count
     edges = []
-    if gadgets:
-        for hub in range(2 * n, apex, 5):
-            rim = [hub + 1, hub + 2, hub + 3, hub + 4]
-            edges += [(hub, r) for r in rim] + list(zip(rim, rim[1:] + rim[:1]))
+    if not plain:
+        for x in range(2 * n + gadgets, apex, width):
+            rim = [x, x + 1, x + 2, x + 3]
+            edges += [(x - 1, r) for r in rim] * gadgets + list(zip(rim, rim[1:] + rim[:1]))
     if mode == BOTH_ENDS:
         edges += [(apex, t) for t in range(2 * n)]
     for v in range(n):
@@ -313,21 +316,22 @@ def diagram(pg, breaks, ends, mode, gadgets):
         p = 2 * v
         for w in cyc[b:] + cyc[:b]:
             x = 2 * n + width * g.edges.index((min(v, w), max(v, w)))
-            if gadgets:
-                x += 1 if v < w else 2
+            if not plain:
+                x += gadgets + (v > w)
             edges.append((p, x))
-            p = x + 2 if gadgets else x
+            p = x if plain else x + 2
         edges.append((p, 2 * v + 1))
         if mode == ONE_END:
             edges.append((apex, 2 * v + ends[v]))
     return apex + (mode is not None), edges
 
 
-def check_induced(pg, mode, keeps, vectors, gadgets=True):
+def check_induced(pg, mode, keeps, vectors, gadgets=False):
     """The diagram that `_Task.layout` lays out for each vertex set in
-    `keeps`, for each (breaks, ends), is the diagram of the induced plane
-    graph with the same port rule, and refutes only vectors that the gadget
-    diagram refutes. Returns, per vector, the sizes of the refuting sets."""
+    `keeps`, hubless as a rung's by default, for each (breaks, ends), is the
+    diagram of the induced plane graph with the same port rule, and refutes
+    only vectors that the gadget diagram refutes. Returns, per vector, the
+    sizes of the refuting sets."""
     task = oracle._Task(pg, mode)
     cases = [(keep, task.layout(keep, gadgets)) for keep in map(sorted, keeps)]
     refuting = []
@@ -450,7 +454,7 @@ def check_against_brute_force(pg, mode, runs=EVERY_RUN):
         v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
         assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
         c = v.counters
-        # each plain test that misses is followed by one gadget test
+        # each hubless test that misses is followed by one gadget test
         assert c["planarity_calls"] == (c["prefix_attempts"] + 2 * c["shortcut_attempts"]
                                         - c["shortcut_hits"])
     return v
@@ -472,13 +476,63 @@ def test_enumerate_matches_brute_force_atlas(mode):
         assert sum(v.status == "no" for v in six) == (16 if mode == BOTH_ENDS else 0)
 
 
+def bowtie_plane():
+    """Two triangles joined by the edge 0-3. In base mode the vectors with
+    breaks 0 at both bridge ends, the first 16, are the only unrealizable
+    ones; the rotations of 0 and 3 are listed from there."""
+    return PlaneGraph(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 5)]),
+                      RotationScheme([(2, 3, 1), (0, 2), (1, 0), (5, 0, 4), (3, 5), (4, 3)]))
+
+
 def test_enumerate_matches_brute_force_mixed_hits():
-    # W_3^+ both-ends: runs of plain hits and misses, and no rung with
-    # 7 vertices, so every vector has a plain test; NO after all 3000
-    v = check_against_brute_force(extended_wheel(3), BOTH_ENDS)
-    assert v.status == "no"
-    c = enumerate_breaks(extended_wheel(3), BOTH_ENDS).counters
-    assert 0 < c["shortcut_hits"] < c["shortcut_attempts"] == v.tried
+    # W_4 both-ends: the hubless diagram refutes the first 29 vectors and
+    # misses the witness, the 30th
+    v = check_against_brute_force(wheel(4), BOTH_ENDS)
+    assert (v.status, v.tried) == ("yes", 30)
+    c = enumerate_breaks(wheel(4), BOTH_ENDS).counters
+    assert 0 < c["shortcut_hits"] == c["shortcut_attempts"] - 1 == v.tried - 1
+    # the bowtie in base mode: the first 16 vectors share the bridge ends'
+    # break pair that the gadget diagram refutes and the hubless one does
+    # not, and the 17th is a witness
+    v = check_against_brute_force(bowtie_plane(), None)
+    assert (v.status, v.tried) == ("yes", 17)
+    c = enumerate_breaks(bowtie_plane(), None).counters
+    assert c["shortcut_attempts"] == 17 and c["shortcut_hits"] == 0
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_gadget_hubless_plain_chain(mode):
+    # every vector of the planar atlas graphs with n <= 5: the hubless
+    # diagram is a minor of the gadget diagram and has the plain diagram as
+    # a minor, so a planar gadget diagram has a planar hubless one, and a
+    # planar hubless diagram a planar plain one
+    vectors = hubless_planar = 0
+    for pg in atlas_plane_graphs(5):
+        n = pg.graph.n
+        task = oracle._Task(pg, mode)
+        end_vectors = ([[(bits >> v) & 1 for v in range(n)] for bits in range(1 << n)]
+                       if mode == ONE_END else [[0] * n])
+        for breaks in itertools.product(*(range(d) for d in task.degrees)):
+            for ends in end_vectors:
+                vectors += 1
+                if is_planar_edges(*task.edges(task.hubless, breaks, ends)):
+                    hubless_planar += 1
+                    assert is_planar_edges(*diagram(pg, breaks, ends, mode, False, plain=True))
+                else:
+                    assert not is_planar_edges(*task.edges(task.gadget, breaks, ends))
+    assert (vectors, hubless_planar) == {None: (2527, 2157), BOTH_ENDS: (2527, 431),
+                                         ONE_END: (77850, 22838)}[mode]
+
+
+def test_limit_past_the_space_decides():
+    # a limit at least the size of the space tries every vector
+    want = brute_force(wheel(5), BOTH_ENDS, limit=10**6)
+    assert want == ("no", None, None, 1215)
+    for limit in (1215, 10**6):
+        v = enumerate_breaks(wheel(5), BOTH_ENDS, limit=limit)
+        assert (v.status, v.witness, v.witness_ends, v.tried, v.total) == (*want, 1215)
+    v = enumerate_breaks(wheel(5), BOTH_ENDS, limit=1214)
+    assert (v.status, v.tried, v.total) == ("unknown", 1214, 1215)
 
 
 def block_cases(mode):

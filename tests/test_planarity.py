@@ -10,6 +10,8 @@ from strandkit.oracle import BOTH_ENDS, _Task
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
 
+from test_oracle import diagram
+
 K5 = list(itertools.combinations(range(5), 2))
 K33 = [(i, 3 + j) for i in range(3) for j in range(3)]
 
@@ -197,9 +199,13 @@ def test_large_graphs_against_networkx(seed):
 
 
 def diagram_edges(pg, breaks, gadgets, apex):
-    """Node count and edges of H, with an apex on every end node if `apex`."""
-    t = _Task(pg, BOTH_ENDS if apex else None)
-    return t.edges(t.gadget if gadgets else t.plain, breaks, [0] * t.n)
+    """Node count and edges of the gadget H, or else the plain H of the test
+    reference, with an apex on every end node if `apex`."""
+    mode = BOTH_ENDS if apex else None
+    if not gadgets:
+        return diagram(pg, breaks, [0] * pg.graph.n, mode, False, plain=True)
+    t = _Task(pg, mode)
+    return t.edges(t.gadget, breaks, [0] * t.n)
 
 
 def test_k23_diagrams_against_networkx():
