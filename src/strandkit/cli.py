@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import sys
 import time
@@ -76,12 +75,12 @@ class _Run:
             text = self._read(path)
             if path.endswith(".txt"):
                 return jsonio.graph_from_edge_text(text), None
-            return jsonio.graph_from_json(json.loads(text))
+            return jsonio.graph_from_json(jsonio.loads(text))
 
     def read_rep(self, path: str):
         """The rep in a rep JSON file, and the parsed JSON."""
         with _parsing(path):
-            data = json.loads(self._read(path))
+            data = jsonio.loads(self._read(path))
             return jsonio.rep_from_json(data), data
 
     def write(self, path: str | None, text: str) -> None:

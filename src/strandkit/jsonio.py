@@ -31,12 +31,17 @@ def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
 
 
 def rotation_from_json(data: dict, n: int) -> RotationScheme | None:
-    """The rotation stored in graph or rep JSON, or None if there is none."""
+    """The rotation stored in graph or rep JSON, or None if there is none.
+    Its keys must be the decimal ids of vertices 0..n-1, so that no two
+    name one vertex."""
     if not data.get("rotation"):
         return None
+    ids = {str(v): v for v in range(n)}
     order = [[] for _ in range(n)]
     for k, nbrs in data["rotation"].items():
-        order[int(k)] = list(nbrs)
+        if k not in ids:
+            raise ValueError(f"rotation key {k!r} is not a vertex id 0..{n - 1}")
+        order[ids[k]] = list(nbrs)
     return RotationScheme(order)
 
 
@@ -100,3 +105,15 @@ def rep_from_json(data: dict) -> StringRep:
 
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def loads(text: str):
+    """Parse JSON text, rejecting an object that names a key twice, where
+    json.loads would keep the last value silently."""
+    def unique(pairs):
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            raise ValueError("a JSON object names a key twice")
+        return out
+
+    return json.loads(text, object_pairs_hook=unique)

@@ -22,18 +22,15 @@ one, so each chunk before the first hit is scanned and the verdict does
 not depend on `jobs`. Each worker keeps its own rung memos.
 
 Deleting the hubs, which only accepting needs, leaves the hubless diagram,
-each crossing the 4-cycle rim of its wheel. It and every induced hubless
-diagram are minors of the gadget diagram, so a non-planar one rules a
-vector out at a fraction of the cost. `_realizable`, the searches'
-per-vector step, tests the rungs of a prefix ladder, then the hubless
-diagram of all vertices, then the gadget diagram, which alone accepts a
-vector. The rungs are the induced hubless diagrams of the first 8, 16, 32,
-... vertices (fewer than n, and in one-end mode all n, laid out without the
-apex) in canonical order, the highest degree first. A rung reads only its
-prefix's digits, the most significant of an index, so a refuting rung rules
-out its whole block of `span` indices, and an exhaustive or `limit` scan
-resumes after it; a memo of its verdicts by its prefix's rows (up to
-MEMO_CAP) tests a block once.
+each crossing the 4-cycle rim of its wheel. Its induced diagrams, with apex
+edges for any vertex set, are minors of the gadget diagram, so a non-planar
+one rules a vector out at a fraction of the cost. `_realizable`, the
+searches' per-vector step, tests the rungs of one ladder (`_Task.rungs`),
+then the gadget diagram, which alone accepts a vector. A rung reads only
+the most significant digits of an index, so a refuting rung rules out its
+whole block of `span` indices, and an exhaustive or `limit` scan resumes
+after it; a memo of its verdicts by the rows it reads (up to MEMO_CAP)
+tests a block once.
 """
 
 from __future__ import annotations
@@ -79,11 +76,12 @@ class Verdict:
 
 
 # `Verdict.counters`, summed over the workers: all planarity tests, the tests
-# and hits of the hubless diagram of all vertices, and those of the rungs
+# and hits of the rungs that keep every vertex, and those of the other rungs
 COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
             "prefix_hits")
 
 FIRST_RUNG = 8  # the ladder's prefixes have 8, 16, 32, ... vertices below n
+FIRST_END_RUNG = 4  # one-end end-bit rungs tip 4, 8, 16, ... vertices below n, then n
 MEMO_CAP = 4096  # verdicts a rung keeps; a full memo starts over
 
 
@@ -93,17 +91,17 @@ class _Task:
     rows[v][breaks[v]][ends[v]] over the vertices v. `layout` is the one
     builder: it lays out the gadget or the hubless diagram of the plane
     graph induced on any vertex set, in rows indexed by this task's breaks.
-    It caches `hubless`, `gadget` and `rungs`; `counts` follows COUNTERS.
+    It caches `gadget` and `rungs`; `counts` follows COUNTERS.
 
     The kept vertices, crossings (kept edges) and the apex are numbered in
     increasing order: the i-th kept vertex's curve runs from node 2i to node
-    2i+1. Kept edge j is a 4-wheel, hub 2k+5j then its rim (k kept
-    vertices), or without hubs its rim alone from node 2k+4j. The curve of v
-    enters the rim at its first node (v < w) or its second (v > w) and
-    leaves it two nodes on. An outer mode puts an apex after a diagram's
-    last node, joined to both ends of every kept curve by static edges, or
-    in one-end mode to the end that each vertex's end bit picks; other modes
-    ignore the end bits."""
+    2i+1. Kept edge j is a 4-wheel, hub 2k+5j then its rim (k kept vertices), or
+    without hubs its rim alone from node 2k+4j. The curve of v enters the rim at
+    its first node (v < w) or its second (v > w) and leaves it two nodes on. An
+    outer mode puts an apex after a diagram's last node, joined to both ends of
+    every tipped curve by static edges, or in one-end mode to the end that each
+    tipped vertex's end bit picks (none if no curve is tipped). An untipped
+    vertex has one path for both end bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = None if mode == "base" else mode
@@ -123,46 +121,48 @@ class _Task:
         self.counts = [0] * len(COUNTERS)
 
     @cached_property
-    def hubless(self):
-        return self.layout(range(self.n), False)
-
-    @cached_property
     def gadget(self):
         return self.layout(range(self.n))
 
     @cached_property
     def rungs(self) -> list[_Rung]:
-        """A rung per prefix that spans an edge (else every diagram is planar).
-        One-end end bits follow the vertices, so all n vertices are a prefix
-        too, and the rungs are laid out in base mode: without the apex, a
-        rung is a minor for every end bit of its block."""
-        order = self.digits[::-1]
+        """The hubless diagrams of the first 8, 16, 32, ... vertices in
+        canonical order (fewer than n), then of all n, where they span an
+        edge (else every diagram is planar). In one-end mode these have no
+        apex edges, and end-bit rungs j = 4, 8, 16, ... (fewer than n), then
+        n follow, with apex edges for the vertices n-j..n-1, whose end bits
+        are the most significant; doubling j keeps a sampled vector, whose
+        end-bit memos rarely hit, to a few tests."""
+        n, order, edges = self.n, self.digits[::-1], self.pg.graph.edges
         rank = {v: i for i, v in enumerate(order)}
-        base = _Task(self.pg, None) if self.one_end else self
-        sizes = [FIRST_RUNG << i for i in range(self.n.bit_length()) if FIRST_RUNG << i < self.n]
-        return [_Rung(base, sorted(order[:k]),
-                      self.total // math.prod(self.degrees[v] for v in order[:k]))
-                for k in sizes + [self.n] * self.one_end
-                if any(max(rank[u], rank[v]) < k for u, v in self.pg.graph.edges)]
+        t0 = n if self.one_end else 0  # the `tips_from` of the rungs that read no end bit
+        sizes = lambda first: [first << i for i in range(n.bit_length()) if first << i < n] + [n]
+        ladder = [(k, t0) for k in sizes(FIRST_RUNG)]
+        ladder += [(n, n - j) for j in sizes(FIRST_END_RUNG) * self.one_end]
+        return [_Rung(self, sorted(order[:k]), t,
+                      self.total // math.prod(self.degrees[v] for v in order[:k]) >> t0 - t)
+                for k, t in ladder if any(max(rank[u], rank[v]) < k for u, v in edges)]
 
-    def layout(self, keep, hubs: bool = True):
+    def layout(self, keep, hubs: bool = True, tips_from: int = 0):
         """The gadget diagram, or with `hubs` False the hubless one, of the
-        plane graph induced on the vertex set `keep`. Kept vertex v's row
-        for break b is the path along the full clockwise order of v from b,
+        plane graph induced on the vertex set `keep`, with apex edges for
+        the kept vertices v >= `tips_from` only. Kept vertex v's row for
+        break b is the path along the full clockwise order of v from b,
         through its crossings with kept neighbours only; with none it is one
-        edge between the curve's end nodes. A kept vertex keeps its end bit.
-        Other vertices add no edges.
+        edge between the curve's end nodes. Other vertices add no edges.
 
-        For every vector, both diagrams of any set S = `keep` are minors of
-        the gadget diagram of all vertices, so a non-planar one rules the
-        vector out. Delete the curves of the vertices outside S, their end
-        nodes, and the wheels of their crossings with each other. A wheel
-        crossed by one kept curve only contracts to a point on that curve's
-        path, which one more contraction removes. What remains of a kept
-        curve is its row above. The apex edges restrict the same way: what
-        is left joins the apex to the kept end nodes that the outer mode
-        names. Deleting the hubs leaves the hubless diagram; contracting its
-        rims leaves the plain one, so the plain one refutes no more."""
+        For every vector, both diagrams of any set S = `keep` are minors of the
+        gadget diagram of all vertices, so a non-planar one rules the vector
+        out. Delete the curves of the vertices outside S, their end nodes, and
+        the wheels of their crossings with each other. A wheel crossed by one
+        kept curve only contracts to a point on that curve's path, which one
+        more contraction removes. What remains of a kept curve is its row above.
+        The apex edges restrict the same way: what is left joins the apex to the
+        kept end nodes that the outer mode names. Deleting apex edges leaves a
+        subgraph. So each rung is a minor of the gadget diagram for every vector
+        in its block, whatever the end bits that it does not read. Deleting the
+        hubs leaves the hubless diagram; contracting its rims leaves the plain
+        one, so the plain one refutes no more."""
         g, rot = self.pg.graph, self.pg.rot
         loc = {v: i for i, v in enumerate(sorted(keep))}
         kept = [(u, v) for u, v in g.edges if u in loc and v in loc]
@@ -172,15 +172,17 @@ class _Task:
         width = 4 + hubs  # a crossing's nodes: its hub, if any, then its rim
         base = 2 * len(loc)
         apex = base + width * len(kept)
+        tipped = [i for v, i in loc.items() if v >= tips_from] if self.mode else []
         static = []
         for x in range(base + hubs, apex, width):  # the spokes, then the rim's cycle
             static += [(x - 1, x + i) for i in range(4)] * hubs
             static += [(x + i, x + (i + 1) % 4) for i in range(4)]
         if self.mode == BOTH_ENDS:
-            static += [(apex, t) for t in range(base)]
+            static += [(apex, 2 * i + e) for i in tipped for e in (0, 1)]
         rows = [[((), ())] * d for d in self.degrees]
         for v, i in loc.items():
-            tips = (((apex, 2 * i),), ((apex, 2 * i + 1),)) if self.one_end else ((), ())
+            tips = ((((apex, 2 * i),), ((apex, 2 * i + 1),)) if self.one_end and v >= tips_from
+                    else ((), ()))
             # the node where v's curve enters each crossing in clockwise
             # order, None at an unkept neighbour; it leaves two nodes later
             ports = [base + width * eid[(v, w)] + hubs + (v > w) if w in loc else None
@@ -193,7 +195,7 @@ class _Task:
                     path = tuple(zip([2 * i] + [x + 2 for x in xs], xs + [2 * i + 1]))
                     entry = (path + tips[0], path + tips[1])
                 row.append(entry)
-        return apex + (self.mode is not None), tuple(static), rows
+        return apex + bool(tipped), tuple(static), rows
 
     @staticmethod
     def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
@@ -223,16 +225,18 @@ class _Task:
 
 
 class _Rung:
-    """The vertex set `keep` of a rung, its block size `span`, its verdicts
-    by the kept rows in `memo`, and its hubless diagram, laid out by `task`
-    on first test."""
+    """A rung's vertex set `keep`, its least tipped vertex `tips_from`, its
+    block size `span`, its verdicts by the rows it reads in `memo`, its
+    counters' index in COUNTERS (the shortcut ones if it keeps every vertex),
+    and its hubless diagram, laid out by `task` on first test."""
 
-    def __init__(self, task: _Task, keep: list[int], span: int):
-        self.task, self.keep, self.span, self.memo = task, keep, span, {}
+    def __init__(self, task: _Task, keep: list[int], tips_from: int, span: int):
+        self.task, self.keep, self.tips_from, self.span = task, keep, tips_from, span
+        self.memo, self.slot = {}, 1 if len(keep) == task.n else 3
 
     @cached_property
     def diagram(self):
-        return self.task.layout(self.keep, False)
+        return self.task.layout(self.keep, False, self.tips_from)
 
 
 def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:
@@ -248,27 +252,22 @@ def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bo
 
 def _realizable(task: _Task, breaks, ends) -> int:
     """0 when the gadget diagram of one vector is planar, else the span of
-    the first rung that refutes it, or 1 when the hubless or gadget diagram
-    does. Planarity tests, not memo hits, are counted in `task.counts`."""
+    the first rung that refutes it, or 1 when the gadget diagram does.
+    Planarity tests, not memo hits, are counted in `task.counts`."""
     counts = task.counts
     for rung in task.rungs:
         nodes, static, rows = rung.diagram
-        key = tuple(rows[v][breaks[v]][0] for v in rung.keep)  # no end-bit apex edges
+        key = tuple(rows[v][breaks[v]][ends[v]] for v in rung.keep)
         planar = rung.memo.get(key)
         if planar is None:
             if len(rung.memo) == MEMO_CAP:
                 rung.memo.clear()
             planar = rung.memo[key] = is_planar_edges(nodes, list(chain(static, *key)))
             counts[0] += 1
-            counts[3] += 1
-            counts[4] += not planar
+            counts[rung.slot] += 1
+            counts[rung.slot + 1] += not planar
         if not planar:
             return rung.span
-    counts[0] += 1
-    counts[1] += 1
-    if not is_planar_edges(*task.edges(task.hubless, breaks, ends)):
-        counts[2] += 1
-        return 1
     counts[0] += 1
     return 0 if is_planar_edges(*task.edges(task.gadget, breaks, ends)) else 1
 

@@ -342,6 +342,52 @@ def test_embed_computes_rotation(tmp_path):
     assert main(["embed", str(out), "--check"]) == 0
 
 
+# the rotations of the path 0-1-2 as JSON text: the right one, and ones
+# whose keys are not each the decimal id of a distinct vertex; a parse by
+# int(key) read the first two as the right rotation
+PATH_ROTATIONS = {
+    "right": '{"0": [1], "1": [0, 2], "2": [1]}',
+    "negative_key": '{"0": [1], "1": [0, 2], "2": [0], "-1": [1]}',
+    "leading_zero": '{"0": [1], "1": [0, 2], "02": [1]}',
+    "repeated_key": '{"0": [1], "1": [0, 2], "2": [1], "2": [1]}',
+    "out_of_range": '{"0": [1], "1": [0, 2], "2": [1], "3": []}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_ROTATIONS))
+def test_embed_check_rotation_keys(tmp_path, case, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(f'{{"n": 3, "edges": [[0, 1], [1, 2]], "rotation": {PATH_ROTATIONS[case]}}}')
+    mf = tmp_path / "m.json"
+    code = 0 if case == "right" else 2
+    assert main(["--manifest", str(mf), "embed", str(g), "--check"]) == code
+    assert json.loads(mf.read_text())["exit_code"] == code
+    assert ("malformed input" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("key", ["2", "-1", "02"])
+def test_verify_order_with_rep_rotation(tmp_path, key, capsys):
+    # the graph as an edge list, so the rotation comes from the rep JSON;
+    # renaming vertex 2's key there makes the input malformed
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n")
+    rep = tmp_path / "rep.json"
+    assert main(["build", "circle", str(g), "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    data["rotation"][key] = data["rotation"].pop("2")
+    rep.write_text(json.dumps(data))
+    mf = tmp_path / "m.json"
+    code = 0 if key == "2" else 2
+    capsys.readouterr()
+    assert main(["--manifest", str(mf), "verify", str(rep), str(g), "--order"]) == code
+    assert json.loads(mf.read_text())["exit_code"] == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "malformed input" in err and f"rotation key '{key}'" in err
+    else:
+        assert json.loads(out)["order_preserving"]["ok"]
+
+
 def test_oracle_reads_rotation_from_graph_json(tmp_path):
     g = tmp_path / "w.json"
     out = tmp_path / "v.json"

@@ -204,18 +204,24 @@ def star_plane(k):
 
 
 def test_rung_skips_refuted_blocks(monkeypatch):
-    # K_{1,8} in one-end mode has 8 * 2^9 vectors. Its rungs, the hub with
-    # leaves 1..7 and then with all leaves, laid out hubless without the
-    # apex, read only the hub's break, the most significant digit: a block of
-    # 512 indices per break. A scripted test per diagram, told apart by node
-    # count (a hubless crossing has 4 nodes), makes the first rung non-planar
-    # at the hub's breaks 2 and 5, the second rung and the hubless diagram
-    # always planar and the gadget diagram never, so the scan covers all
-    # 4096 indices
+    # K_{1,8} in one-end mode has 8 * 2^9 vectors. Its ladder: the hub with
+    # leaves 1..7, then all 9 vertices, both without apex edges, read only
+    # the hub's break, the most significant digit: a block of 512 indices
+    # per break. End-bit rung j = 4, 8, 9 adds apex edges for the vertices
+    # 9-j..8, whose end bits are the most significant, so it fixes blocks of
+    # 2^(9-j) indices. A scripted test per diagram, told apart by node count
+    # (a hubless crossing has 4 nodes, and only end-bit rungs have an apex)
+    # and by edge count (57 path and rim edges, and one apex edge per tipped
+    # vertex), makes the first rung non-planar at the hub's breaks 2 and 5,
+    # end-bit rung 4 non-planar where the end bits of vertices 5..8 read 5,
+    # the other rungs always planar and the gadget diagram never, so the
+    # scan covers all 4096 indices
     pg = star_plane(8)
     rungs = oracle._Task(pg, ONE_END).rungs
-    assert [(r.keep, r.span) for r in rungs] == [(list(range(8)), 512), (list(range(9)), 512)]
-    rung_nodes = 2 * 8 + 4 * 7
+    assert [(r.keep, r.tips_from, r.span) for r in rungs] == (
+        [(list(range(8)), 9, 512)]
+        + [(list(range(9)), 9 - j, 512 >> j) for j in (0, 4, 8, 9)])
+    prefix_nodes, rung_nodes = 2 * 8 + 4 * 7, 2 * 9 + 4 * 8
     gadget_nodes = 2 * 9 + 5 * 8 + 1
     decoded, gadget_at = [], []
     decode = oracle._Task.decode
@@ -225,8 +231,10 @@ def test_rung_skips_refuted_blocks(monkeypatch):
         return decode(task, idx)
 
     def fake(n, edges):
-        if n == rung_nodes:
+        if n == prefix_nodes:
             return decoded[-1] // 512 not in (2, 5)
+        if n == rung_nodes + 1 and len(edges) == 57 + 4:
+            return decoded[-1] % 512 // 32 != 5
         if n == gadget_nodes:
             gadget_at.append(decoded[-1])
             return False
@@ -236,17 +244,25 @@ def test_rung_skips_refuted_blocks(monkeypatch):
     monkeypatch.setattr(oracle, "is_planar_edges", fake)
     v = enumerate_breaks(pg, ONE_END, chunk=1000)
     # a refutation at a block's first index resumes the scan at the next
-    # block, clamped to the range's end: block 2 at 1024, and block 5 at
-    # 2560 and again, a memo hit, at the range start 3000
+    # block, clamped to the range's end: hub block 2 at 1024, and hub block
+    # 5 at 2560 and again, a memo hit, at the range start 3000; end-bit rung
+    # 4 skips the 31 indices after each start of its block, 160 into every
+    # hub block that the first rung leaves
     skipped = {*range(1025, 1536), *range(2561, 3000), *range(3001, 3072)}
+    skipped.update(i for b in (0, 1, 3, 4, 6, 7) for i in range(512 * b + 161, 512 * b + 192))
     assert decoded == [i for i in range(4096) if i not in skipped]
-    assert gadget_at == [i for i in range(4096) if i // 512 not in (2, 5)]
+    gadget_at_want = [i for i in range(4096) if i // 512 not in (2, 5) and i % 512 // 32 != 5]
+    assert gadget_at == gadget_at_want
     assert (v.status, v.tried, v.total) == ("no", 4096, 4096)
-    # the memo tests a rung once per distinct hub row: the first rung 7
-    # times, as breaks 0 and 7 both start at leaf 1 when leaf 8 is not kept,
-    # and the second once per block that the first does not refute
-    assert v.counters == {"planarity_calls": 13 + 2 * 3072, "shortcut_attempts": 3072,
-                          "shortcut_hits": 0, "prefix_attempts": 13, "prefix_hits": 2}
+    # the memo tests the first rung 7 times, as breaks 0 and 7 both start at
+    # leaf 1 when leaf 8 is not kept; per hub break that it leaves, the rung
+    # of all vertices is tested once, and end-bit rung j once per value of
+    # the top j end bits, 2^j, less for j > 4 the 2^(j-4) values under
+    # rung 4's refutation
+    per_break = 1 + sum(2 ** j - (2 ** (j - 4) if j > 4 else 0) for j in (4, 8, 9))
+    assert v.counters == {"planarity_calls": 7 + 6 * per_break + len(gadget_at_want),
+                          "shortcut_attempts": 6 * per_break, "shortcut_hits": 6,
+                          "prefix_attempts": 7, "prefix_hits": 2}
 
 
 def induced(pg, keep, breaks, ends):
@@ -272,36 +288,46 @@ def canonical_order(g):
 
 
 def ladder(pg, mode):
-    """The vertex sets of the search's prefix rungs, checked against their
-    definition: the first 8, 16, 32, ... vertices in canonical order, fewer
-    than n, and in one-end mode all n, where they span an edge; each with
-    the block of indices that its prefix's digits fix, and laid out hubless
-    by `_Task.layout` in the task's mode, or in base mode for a one-end
-    task."""
+    """The search's rungs as (sorted vertex set, least tipped vertex) pairs,
+    checked against their definition: the first 8, 16, 32, ... vertices in
+    canonical order (fewer than n), then all n, where they span an edge. In
+    one-end mode these tip no vertex (the least tipped one is n), and
+    end-bit rungs j = 4, 8, 16, ... (fewer than n), then n, of all n
+    vertices follow, which tip the vertices n-j..n-1. A rung's span is the
+    block of indices that its prefix's digits fix and, for end-bit rung j,
+    the top j end bits; a rung that tips no vertex is laid out as in base
+    mode, with no apex."""
     g = pg.graph
+    n = g.n
     order = canonical_order(g)
     task = oracle._Task(pg, mode)
-    layout = oracle._Task(pg, None if mode == ONE_END else mode).layout
-    sizes = [k for k in (8, 16, 32, 64) if k < g.n] + [g.n] * (mode == ONE_END)
-    assert g.n <= 128
-    want = [order[:k] for k in sizes
-            if any(u in order[:k] and v in order[:k] for u, v in g.edges)]
-    assert [sorted(keep) for keep in want] == [rung.keep for rung in task.rungs]
-    for keep, rung in zip(want, task.rungs):
-        assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) == task.total
-        assert rung.diagram == layout(keep, False)
+    t0 = n if mode == ONE_END else 0
+    assert n <= 128
+    end_bit_rungs = [n - j for j in (4, 8, 16, 32, 64) if j < n] + [0]
+    want = ([(order[:k], t0) for k in (8, 16, 32, 64) if k < n]
+            + [(order, t) for t in [t0] + end_bit_rungs * (mode == ONE_END)])
+    want = [(sorted(keep), t) for keep, t in want
+            if any(u in keep and v in keep for u, v in g.edges)]
+    assert want == [(rung.keep, rung.tips_from) for rung in task.rungs]
+    for (keep, t), rung in zip(want, task.rungs):
+        end_bits = 1 << n - t if mode == ONE_END else 1
+        assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) * end_bits == task.total
+        assert rung.diagram == oracle._Task(pg, None if t == n else mode).layout(keep, False, t)
     return want
 
 
-def diagram(pg, breaks, ends, mode, gadgets, plain=False):
+def diagram(pg, breaks, ends, mode, gadgets, plain=False, tipped=None):
     """(node count, edges) of H by its definition: curve v from node 2v to
     2v+1, and edge j a 4-wheel, hub 2n+5j then its rim, or without
     `gadgets` the rim alone from node 2n+4j; the curve enters the rim at its
     first node (v < w) or its second (v > w) and leaves two nodes on. With
     `plain`, edge j is one crossing node 2n+j instead. The apex comes last,
-    and the edges in the order that `_Task.edges` lists them."""
+    joined to the vertices in `tipped` (all by default), and there is none
+    if it has no edge; the edges are in the order that `_Task.edges` lists
+    them."""
     g, rot = pg.graph, pg.rot
     n = g.n
+    tipped = range(n) if tipped is None else sorted(tipped)
     width = 1 if plain else 4 + gadgets
     apex = 2 * n + width * g.edge_count
     edges = []
@@ -310,7 +336,7 @@ def diagram(pg, breaks, ends, mode, gadgets, plain=False):
             rim = [x, x + 1, x + 2, x + 3]
             edges += [(x - 1, r) for r in rim] * gadgets + list(zip(rim, rim[1:] + rim[:1]))
     if mode == BOTH_ENDS:
-        edges += [(apex, t) for t in range(2 * n)]
+        edges += [(apex, 2 * v + e) for v in tipped for e in (0, 1)]
     for v in range(n):
         cyc, b = rot.order[v], breaks[v]
         p = 2 * v
@@ -321,25 +347,30 @@ def diagram(pg, breaks, ends, mode, gadgets, plain=False):
             edges.append((p, x))
             p = x if plain else x + 2
         edges.append((p, 2 * v + 1))
-        if mode == ONE_END:
+        if mode == ONE_END and v in tipped:
             edges.append((apex, 2 * v + ends[v]))
-    return apex + (mode is not None), edges
+    return apex + (mode is not None and len(tipped) > 0), edges
 
 
-def check_induced(pg, mode, keeps, vectors, gadgets=False):
-    """The diagram that `_Task.layout` lays out for each vertex set in
-    `keeps`, hubless as a rung's by default, for each (breaks, ends), is the
-    diagram of the induced plane graph with the same port rule, and refutes
-    only vectors that the gadget diagram refutes. Returns, per vector, the
-    sizes of the refuting sets."""
+def check_induced(pg, mode, rungs, vectors, gadgets=False):
+    """The diagram that `_Task.layout` lays out for each (vertex set, least
+    tipped vertex) in `rungs`, hubless as a rung's by default, for each
+    (breaks, ends), is the diagram of the induced plane graph with the same
+    port rule and apex edges for the same vertices, and refutes only vectors
+    that the gadget diagram refutes. Returns, per vector, the sizes of the
+    refuting sets."""
     task = oracle._Task(pg, mode)
-    cases = [(keep, task.layout(keep, gadgets)) for keep in map(sorted, keeps)]
+    cases = []
+    for keep, t in rungs:
+        keep = sorted(keep)
+        tipped = [i for i, v in enumerate(keep) if v >= t]  # numbered as in the induced graph
+        cases.append((keep, tipped, task.layout(keep, gadgets, t)))
     refuting = []
     for breaks, ends in vectors:
         sizes = []
-        for keep, laid_out in cases:
+        for keep, tipped, laid_out in cases:
             got = task.edges(laid_out, breaks, ends)
-            assert got == diagram(*induced(pg, keep, breaks, ends), mode, gadgets)
+            assert got == diagram(*induced(pg, keep, breaks, ends), mode, gadgets, tipped=tipped)
             if not is_planar_edges(*got):
                 sizes.append(len(keep))
         if sizes:
@@ -357,15 +388,21 @@ def random_vectors(pg, count, rng):
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_local_diagram_atlas(mode):
     # every proper prefix of the canonical order, which a prefix search
-    # would test; a rung of fewer than n vertices needs n >= 9, so an atlas
-    # graph's only rung is that of all its vertices in one-end mode
+    # would test, and the ladder; a rung of fewer than n vertices needs
+    # n >= 9, so an atlas graph with an edge has the rung of all its
+    # vertices, and in one-end mode the end-bit rungs j = 4 (if n > 4), n
+    # after it
     rng = random.Random(4)
     isolated = refuted = 0
     for pg in atlas_plane_graphs(6):
         g = pg.graph
-        assert [len(keep) for keep in ladder(pg, mode)] in ([], [g.n] * (mode == ONE_END))
+        rungs = ladder(pg, mode)
+        assert [len(keep) for keep, _ in rungs] == [g.n] * bool(g.edges) * (
+            1 + len({min(4, g.n), g.n}) if mode == ONE_END else 1)
+        vectors = random_vectors(pg, 12, rng)
+        check_induced(pg, mode, rungs, vectors)
         keeps = [canonical_order(g)[:k] for k in range(1, g.n)]
-        refuting = check_induced(pg, mode, keeps, random_vectors(pg, 12, rng))
+        refuting = check_induced(pg, mode, [(keep, 0) for keep in keeps], vectors)
         # the ladder leaves out a prefix with no edge: it never refutes
         spans = [any(u in keep and v in keep for u, v in g.edges) for keep in keeps]
         assert all(spans[k - 1] for sizes in refuting for k in sizes)
@@ -386,8 +423,11 @@ def test_layout_every_vertex_set(mode):
         n = pg.graph.n
         keeps = [keep for k in range(1, n + 1) for keep in itertools.combinations(range(n), k)]
         vectors = random_vectors(pg, 6, rng)
-        for gadgets in (False, True):
-            check_induced(pg, mode, keeps, vectors, gadgets)
+        # the gadget diagram with every apex edge, the hubless one with
+        # every apex edge and with those of a random tail of the vertices
+        check_induced(pg, mode, [(keep, 0) for keep in keeps], vectors, True)
+        for t in (0, rng.randrange(n + 1)):
+            check_induced(pg, mode, [(keep, t) for keep in keeps], vectors)
         sets += len(keeps)
     assert sets == 1223  # 51 graphs: 1 + 2 * 3 + 4 * 7 + 11 * 15 + 33 * 31
 
@@ -454,26 +494,34 @@ def check_against_brute_force(pg, mode, runs=EVERY_RUN):
         v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
         assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
         c = v.counters
-        # each hubless test that misses is followed by one gadget test
-        assert c["planarity_calls"] == (c["prefix_attempts"] + 2 * c["shortcut_attempts"]
-                                        - c["shortcut_hits"])
+        # a vector reaches the gadget test only past the last rung, that of
+        # all vertices with every apex edge: span 1, so it is never a memo
+        # hit. In base and both-ends mode it is the only rung that keeps
+        # every vertex, so each of its misses is followed by one gadget
+        # test; with no edge there is no rung
+        gadget = c["planarity_calls"] - c["prefix_attempts"] - c["shortcut_attempts"]
+        if not pg.graph.edges:
+            assert c["planarity_calls"] == gadget == v.tried
+        elif mode == ONE_END:
+            assert v.status == "no" or gadget > 0
+            assert gadget <= c["shortcut_attempts"] - c["shortcut_hits"]
+        else:
+            assert gadget == c["shortcut_attempts"] - c["shortcut_hits"]
     return v
 
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_enumerate_matches_brute_force_atlas(mode):
-    # every planar atlas graph with n <= 5, and with n = 6 in base and
-    # both-ends mode; no graph with n = 6 is a NO in one-end mode
+    # every planar atlas graph with n <= 6; no graph with n = 6 is a NO in
+    # one-end mode
     graphs = atlas_plane_graphs(6)
     small = [pg for pg in graphs if pg.graph.n <= 5]
     assert len(small) == 51  # every graph on 1..5 vertices but K5
     for pg in small:
         check_against_brute_force(pg, mode)
-    if mode != ONE_END:
-        six = [check_against_brute_force(pg, mode, ((1, 7),))
-               for pg in graphs if pg.graph.n == 6]
-        assert len(six) == 142
-        assert sum(v.status == "no" for v in six) == (16 if mode == BOTH_ENDS else 0)
+    six = [check_against_brute_force(pg, mode, ((1, 7),)) for pg in graphs if pg.graph.n == 6]
+    assert len(six) == 142
+    assert sum(v.status == "no" for v in six) == {None: 0, BOTH_ENDS: 16, ONE_END: 0}[mode]
 
 
 def bowtie_plane():
@@ -510,12 +558,13 @@ def test_gadget_hubless_plain_chain(mode):
     for pg in atlas_plane_graphs(5):
         n = pg.graph.n
         task = oracle._Task(pg, mode)
+        hubless = task.layout(range(n), False)
         end_vectors = ([[(bits >> v) & 1 for v in range(n)] for bits in range(1 << n)]
                        if mode == ONE_END else [[0] * n])
         for breaks in itertools.product(*(range(d) for d in task.degrees)):
             for ends in end_vectors:
                 vectors += 1
-                if is_planar_edges(*task.edges(task.hubless, breaks, ends)):
+                if is_planar_edges(*task.edges(hubless, breaks, ends)):
                     hubless_planar += 1
                     assert is_planar_edges(*diagram(pg, breaks, ends, mode, False, plain=True))
                 else:
