@@ -28,6 +28,7 @@ from .families import (
 )
 from .geom import (
     BOTH_ENDS,
+    ONE_END,
     crossing_profile,
     verify_1string,
     verify_order_preserving,
@@ -372,14 +373,14 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("rep")
     v.add_argument("graph")
     v.add_argument("--order", action="store_true")
-    v.add_argument("--outer", choices=["both-ends", "one-end"])
+    v.add_argument("--outer", choices=[BOTH_ENDS, ONE_END])
     v.add_argument("--strict", action="store_true")
     v.add_argument("--out")
     v.set_defaults(fn=_cmd_verify)
 
     o = sub.add_parser("oracle", help="break-vector realizability search")
     o.add_argument("graph")
-    o.add_argument("--mode", choices=["base", "both-ends", "one-end"], default="base")
+    o.add_argument("--mode", choices=["base", BOTH_ENDS, ONE_END], default="base")
     o.add_argument("--samples", type=int)
     o.add_argument("--limit", type=int)
     o.add_argument("--jobs", type=int, default=jobs)

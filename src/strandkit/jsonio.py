@@ -23,7 +23,9 @@ def graph_to_json(g: Graph, rot: RotationScheme | None = None) -> dict:
 
 
 def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
-    g = Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    if type(data["n"]) is not int:
+        raise ValueError(f"n {data['n']!r} is not an integer")
+    g = Graph(data["n"], [tuple(e) for e in data["edges"]])
     rot = rotation_from_json(data, g.n)
     if rot is not None:
         rot.validate(g)
@@ -88,10 +90,13 @@ def rep_to_json(rep: StringRep) -> dict:
 
 
 def rep_from_json(data: dict) -> StringRep:
-    curves = {
-        int(v): Curve(int(v), tuple(_pt_parse(q) for q in pts))
-        for v, pts in data["curves"].items()
-    }
+    """The rep in rep JSON. As in a rotation, a curve's key must be the
+    decimal id of its vertex, so that no two keys name one vertex."""
+    curves = {}
+    for k, pts in data["curves"].items():
+        if not (k.isascii() and k.isdigit() and str(int(k)) == k):
+            raise ValueError(f"curve key {k!r} is not a vertex id")
+        curves[int(k)] = Curve(int(k), tuple(_pt_parse(q) for q in pts))
     w = data.get("witness")
     if w is None:
         return StringRep(curves)

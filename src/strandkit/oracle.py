@@ -22,15 +22,15 @@ one, so each chunk before the first hit is scanned and the verdict does
 not depend on `jobs`. Each worker keeps its own rung memos.
 
 Deleting the hubs, which only accepting needs, leaves the hubless diagram,
-each crossing the 4-cycle rim of its wheel. Its induced diagrams, with apex
-edges for any vertex set, are minors of the gadget diagram, so a non-planar
-one rules a vector out at a fraction of the cost. `_realizable`, the
-searches' per-vector step, tests the rungs of one ladder (`_Task.rungs`),
-then the gadget diagram, which alone accepts a vector. A rung reads only
-the most significant digits of an index, so a refuting rung rules out its
-whole block of `span` indices, and an exhaustive or `limit` scan resumes
-after it; a memo of its verdicts by the rows it reads (up to MEMO_CAP)
-tests a block once.
+each crossing the 4-cycle rim of its wheel; the gadget diagram is the
+hubless diagram of all vertices plus a hub per rim, numbered last. Its
+induced diagrams, with apex edges for any vertex set, are minors of the
+gadget diagram, so a non-planar one rules a vector out at a fraction of the
+cost. `_realizable`, the searches' per-vector step, tests the rungs of one
+ladder (`_Task.rungs`), then the gadget diagram, which alone accepts a
+vector. A rung reads only the most significant digits of an index, so a
+refuting rung rules out its whole block of `span` indices, and an exhaustive
+or `limit` scan resumes after it; a memo (up to MEMO_CAP) tests a block once.
 """
 
 from __future__ import annotations
@@ -88,20 +88,19 @@ MEMO_CAP = 4096  # verdicts a rung keeps; a full memo starts over
 class _Task:
     """A plane graph's diagrams in one outer mode, each a triple (node count,
     static edges, rows) with H(breaks, ends) = static edges +
-    rows[v][breaks[v]][ends[v]] over the vertices v. `layout` is the one
-    builder: it lays out the gadget or the hubless diagram of the plane
-    graph induced on any vertex set, in rows indexed by this task's breaks.
+    rows[v][breaks[v]][ends[v]] over the vertices v. `layout` lays out the
+    hubless diagram of the plane graph induced on any vertex set, in rows
+    indexed by this task's breaks; `gadget` is the last rung plus its hubs.
     It caches `gadget` and `rungs`; `counts` follows COUNTERS.
 
-    The kept vertices, crossings (kept edges) and the apex are numbered in
-    increasing order: the i-th kept vertex's curve runs from node 2i to node
-    2i+1. Kept edge j is a 4-wheel, hub 2k+5j then its rim (k kept vertices), or
-    without hubs its rim alone from node 2k+4j. The curve of v enters the rim at
-    its first node (v < w) or its second (v > w) and leaves it two nodes on. An
-    outer mode puts an apex after a diagram's last node, joined to both ends of
-    every tipped curve by static edges, or in one-end mode to the end that each
-    tipped vertex's end bit picks (none if no curve is tipped). An untipped
-    vertex has one path for both end bits."""
+    Nodes are numbered curve ends, then rims, then the apex, then the hubs.
+    The i-th kept vertex's curve runs from node 2i to node 2i+1, and kept edge
+    j is a crossing whose rim is the 4-cycle from node 2k+4j (k kept
+    vertices). The curve of v enters the rim at its first node (v < w) or its
+    second (v > w) and leaves it two nodes on. An outer mode puts an apex after
+    the rims, joined to both ends of every tipped curve by static edges, or in
+    one-end mode to the end that each tipped vertex's end bit picks (none if no
+    curve is tipped). An untipped vertex has one path for both end bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = None if mode == "base" else mode
@@ -122,7 +121,14 @@ class _Task:
 
     @cached_property
     def gadget(self):
-        return self.layout(range(self.n))
+        """The last rung, all vertices with every apex edge, plus hub j after
+        every other node, joined to rim j; with no edge, no rung and no rim."""
+        if not self.rungs:
+            return self.layout(range(self.n))
+        nodes, static, rows = self.rungs[-1].diagram
+        rims = range(2 * self.n, 2 * self.n + 4 * self.pg.graph.edge_count, 4)
+        spokes = ((nodes + j, x + i) for j, x in enumerate(rims) for i in range(4))
+        return nodes + len(rims), static + tuple(spokes), rows
 
     @cached_property
     def rungs(self) -> list[_Rung]:
@@ -143,40 +149,34 @@ class _Task:
                       self.total // math.prod(self.degrees[v] for v in order[:k]) >> t0 - t)
                 for k, t in ladder if any(max(rank[u], rank[v]) < k for u, v in edges)]
 
-    def layout(self, keep, hubs: bool = True, tips_from: int = 0):
-        """The gadget diagram, or with `hubs` False the hubless one, of the
-        plane graph induced on the vertex set `keep`, with apex edges for
-        the kept vertices v >= `tips_from` only. Kept vertex v's row for
-        break b is the path along the full clockwise order of v from b,
-        through its crossings with kept neighbours only; with none it is one
-        edge between the curve's end nodes. Other vertices add no edges.
+    def layout(self, keep, tips_from: int = 0):
+        """The hubless diagram of the plane graph induced on the vertex set
+        `keep`, with apex edges for the kept vertices v >= `tips_from` only.
+        Kept vertex v's row for break b is the path along the full clockwise
+        order of v from b, through its crossings with kept neighbours only;
+        with none it is one edge between the curve's end nodes. Other
+        vertices add no edges.
 
-        For every vector, both diagrams of any set S = `keep` are minors of the
-        gadget diagram of all vertices, so a non-planar one rules the vector
-        out. Delete the curves of the vertices outside S, their end nodes, and
-        the wheels of their crossings with each other. A wheel crossed by one
-        kept curve only contracts to a point on that curve's path, which one
-        more contraction removes. What remains of a kept curve is its row above.
-        The apex edges restrict the same way: what is left joins the apex to the
-        kept end nodes that the outer mode names. Deleting apex edges leaves a
-        subgraph. So each rung is a minor of the gadget diagram for every vector
-        in its block, whatever the end bits that it does not read. Deleting the
-        hubs leaves the hubless diagram; contracting its rims leaves the plain
-        one, so the plain one refutes no more."""
+        For every vector, the diagram of any set S = `keep` is a minor of the
+        gadget diagram, so a non-planar one rules the vector out. Deleting the
+        hubs, its last nodes, leaves the diagram of all vertices. Delete the
+        curves of the vertices outside S, their end nodes, and the rims of
+        their crossings with each other. A rim crossed by one kept curve only
+        contracts to a point on that curve's path, which one more contraction
+        removes. What remains of a kept curve is its row above. The apex edges
+        restrict the same way: what is left joins the apex to the kept end
+        nodes that the outer mode names. Deleting apex edges leaves a subgraph.
+        So each rung is a minor of the gadget diagram for every vector in its
+        block, whatever the end bits that it does not read. Contracting the
+        rims leaves the plain diagram, so the plain one refutes no more."""
         g, rot = self.pg.graph, self.pg.rot
         loc = {v: i for i, v in enumerate(sorted(keep))}
         kept = [(u, v) for u, v in g.edges if u in loc and v in loc]
-        eid = {}
-        for j, (u, v) in enumerate(kept):
-            eid[(u, v)] = eid[(v, u)] = j
-        width = 4 + hubs  # a crossing's nodes: its hub, if any, then its rim
+        eid = {e: j for j, (u, v) in enumerate(kept) for e in ((u, v), (v, u))}
         base = 2 * len(loc)
-        apex = base + width * len(kept)
+        apex = base + 4 * len(kept)
         tipped = [i for v, i in loc.items() if v >= tips_from] if self.mode else []
-        static = []
-        for x in range(base + hubs, apex, width):  # the spokes, then the rim's cycle
-            static += [(x - 1, x + i) for i in range(4)] * hubs
-            static += [(x + i, x + (i + 1) % 4) for i in range(4)]
+        static = [(x + i, x + (i + 1) % 4) for x in range(base, apex, 4) for i in range(4)]
         if self.mode == BOTH_ENDS:
             static += [(apex, 2 * i + e) for i in tipped for e in (0, 1)]
         rows = [[((), ())] * d for d in self.degrees]
@@ -185,7 +185,7 @@ class _Task:
                     else ((), ()))
             # the node where v's curve enters each crossing in clockwise
             # order, None at an unkept neighbour; it leaves two nodes later
-            ports = [base + width * eid[(v, w)] + hubs + (v > w) if w in loc else None
+            ports = [base + 4 * eid[(v, w)] + (v > w) if w in loc else None
                      for w in rot.order[v]]
             rows[v] = row = []
             for b in range(self.degrees[v]):
@@ -236,7 +236,7 @@ class _Rung:
 
     @cached_property
     def diagram(self):
-        return self.task.layout(self.keep, False, self.tips_from)
+        return self.task.layout(self.keep, self.tips_from)
 
 
 def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:

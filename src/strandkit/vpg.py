@@ -38,6 +38,7 @@ from .geom import (
     StringRep,
     _orient_h,
     check_partial,
+    map_rep,
     segment_intersection,
 )
 from .graphs import (
@@ -304,24 +305,14 @@ def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> Vpg
 
 
 def rotate45(rep: StringRep) -> StringRep:
-    """(x, y) -> (x+y, y-x): slope +-1 segments become axis-parallel."""
+    """(x, y) -> (x+y, y-x): slope +-1 segments become axis-parallel. A
+    polyline witness maps with the curves; a circle witness raises."""
     for v, c in rep.curves.items():
         for p, q in c.segments:
             dx, dy = q[0] - p[0], q[1] - p[1]
             if dx != dy and dx != -dy:
                 raise NonDiagonalSegment(f"curve {v} has a non-diagonal segment")
-
-    def f(p: Pt) -> Pt:
-        return (p[0] + p[1], p[1] - p[0])
-
-    curves = {v: Curve(v, tuple(f(p) for p in c.points)) for v, c in rep.curves.items()}
-    wit = rep.witness
-    if isinstance(wit, PolylineWitness):
-        wit = PolylineWitness(tuple(f(p) for p in wit.points))
-    elif wit is not None:
-        # the map scales by sqrt(2): a circle stays a circle
-        wit = CircleWitness(f(wit.center), 2 * wit.radius2)
-    return StringRep(curves, wit)
+    return map_rep(rep, lambda p: (p[0] + p[1], p[1] - p[0]))
 
 
 def compact_grid(rep: StringRep) -> tuple[StringRep, tuple[int, int]]:

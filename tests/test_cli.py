@@ -142,6 +142,9 @@ MALFORMED = {
     "empty_edge_list": ("g.txt", ""),
     "zero_vertices": ("g.json", '{"n": 0, "edges": []}'),
     "negative_vertices": ("g.json", '{"n": -2, "edges": []}'),
+    # int(n) read these as a 2- and a 3-vertex graph
+    "fractional_vertices": ("g.json", '{"n": 2.9, "edges": [[0, 1]]}'),
+    "string_vertices": ("g.json", '{"n": "3", "edges": [[0, 1], [1, 2]]}'),
     "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
     "witness_unknown_key": ("rep.json", json.dumps({
         "curves": {"0": [[0, 1, 0, 1], [1, 1, 1, 1]]},
@@ -386,6 +389,28 @@ def test_verify_order_with_rep_rotation(tmp_path, key, capsys):
         assert "malformed input" in err and f"rotation key '{key}'" in err
     else:
         assert json.loads(out)["order_preserving"]["ok"]
+
+
+@pytest.mark.parametrize("key", [None, "01", "+1", " 1"])
+def test_verify_rep_curve_keys(tmp_path, key, capsys):
+    # the rep of a path with a curve that crosses nothing added under `key`,
+    # after vertex 1's: a parse by int(key) let it replace vertex 1's curve,
+    # and verify judged the wrong curve
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 3\n")
+    rep = tmp_path / "rep.json"
+    assert main(["build", "circle", str(g), "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    if key is not None:
+        data["curves"][key] = [[100, 1, 100, 1], [101, 1, 100, 1]]
+    rep.write_text(json.dumps(data))
+    mf = tmp_path / "m.json"
+    code = 0 if key is None else 2
+    capsys.readouterr()
+    assert main(["--manifest", str(mf), "verify", str(rep), str(g)]) == code
+    assert json.loads(mf.read_text())["exit_code"] == code
+    if code:
+        assert f"curve key '{key}' is not a vertex id" in capsys.readouterr().err
 
 
 def test_oracle_reads_rotation_from_graph_json(tmp_path):

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from strandkit.circle import build_circle, chord_to_geometry
 from strandkit.geom import (
     CircleWitness,
@@ -95,3 +97,19 @@ def test_rep_json_roundtrip_witnesses():
     vb = build_vpg(g)
     back2 = rep_from_json(json.loads(dumps(rep_to_json(vb.rep))))
     assert back2.witness == vb.rep.witness
+
+
+def test_rep_json_curve_keys_are_vertex_ids():
+    # int(key) names vertex 1 by each of the first four and vertex 10 by
+    # "1_0"; only a vertex's decimal id names it
+    points = [[0, 1, 0, 1], [1, 1, 0, 1]]
+    assert set(rep_from_json({"curves": {"1": points, "10": points}}).curves) == {1, 10}
+    for key in ("01", "+1", " 1", "1 ", "1_0", "-1", "١", "", "None"):
+        with pytest.raises(ValueError, match="is not a vertex id"):
+            rep_from_json({"curves": {key: points}})
+
+
+def test_graph_json_vertex_count_is_an_integer():
+    for n in (2.9, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            graph_from_json({"n": n, "edges": [[0, 1]]})

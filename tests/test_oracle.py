@@ -312,69 +312,74 @@ def ladder(pg, mode):
     for (keep, t), rung in zip(want, task.rungs):
         end_bits = 1 << n - t if mode == ONE_END else 1
         assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) * end_bits == task.total
-        assert rung.diagram == oracle._Task(pg, None if t == n else mode).layout(keep, False, t)
+        assert rung.diagram == oracle._Task(pg, None if t == n else mode).layout(keep, t)
     return want
 
 
 def diagram(pg, breaks, ends, mode, gadgets, plain=False, tipped=None):
     """(node count, edges) of H by its definition: curve v from node 2v to
-    2v+1, and edge j a 4-wheel, hub 2n+5j then its rim, or without
-    `gadgets` the rim alone from node 2n+4j; the curve enters the rim at its
-    first node (v < w) or its second (v > w) and leaves two nodes on. With
-    `plain`, edge j is one crossing node 2n+j instead. The apex comes last,
-    joined to the vertices in `tipped` (all by default), and there is none
-    if it has no edge; the edges are in the order that `_Task.edges` lists
-    them."""
+    2v+1, and edge j a crossing whose rim is the 4-cycle from node 2n+4j;
+    the curve enters the rim at its first node (v < w) or its second (v > w)
+    and leaves two nodes on. With `plain`, edge j is one crossing node 2n+j
+    instead. The apex follows, joined to the vertices in `tipped` (all by
+    default), and there is none if it has no edge. With `gadgets`, the hub
+    of rim j comes after every other node, joined to the rim's four nodes.
+    The edges are in the order that `_Task.edges` lists them."""
     g, rot = pg.graph, pg.rot
-    n = g.n
+    n, m = g.n, g.edge_count
     tipped = range(n) if tipped is None else sorted(tipped)
-    width = 1 if plain else 4 + gadgets
-    apex = 2 * n + width * g.edge_count
+    width = 1 if plain else 4
+    apex = 2 * n + width * m
+    nodes = apex + (mode is not None and len(tipped) > 0)
     edges = []
     if not plain:
-        for x in range(2 * n + gadgets, apex, width):
+        for x in range(2 * n, apex, 4):
             rim = [x, x + 1, x + 2, x + 3]
-            edges += [(x - 1, r) for r in rim] * gadgets + list(zip(rim, rim[1:] + rim[:1]))
+            edges += list(zip(rim, rim[1:] + rim[:1]))
     if mode == BOTH_ENDS:
         edges += [(apex, 2 * v + e) for v in tipped for e in (0, 1)]
+    if gadgets:
+        edges += [(nodes + j, 2 * n + 4 * j + i) for j in range(m) for i in range(4)]
     for v in range(n):
         cyc, b = rot.order[v], breaks[v]
         p = 2 * v
         for w in cyc[b:] + cyc[:b]:
             x = 2 * n + width * g.edges.index((min(v, w), max(v, w)))
             if not plain:
-                x += gadgets + (v > w)
+                x += v > w
             edges.append((p, x))
             p = x if plain else x + 2
         edges.append((p, 2 * v + 1))
         if mode == ONE_END and v in tipped:
             edges.append((apex, 2 * v + ends[v]))
-    return apex + (mode is not None and len(tipped) > 0), edges
+    return nodes + m * gadgets, edges
 
 
-def check_induced(pg, mode, rungs, vectors, gadgets=False):
-    """The diagram that `_Task.layout` lays out for each (vertex set, least
-    tipped vertex) in `rungs`, hubless as a rung's by default, for each
-    (breaks, ends), is the diagram of the induced plane graph with the same
-    port rule and apex edges for the same vertices, and refutes only vectors
-    that the gadget diagram refutes. Returns, per vector, the sizes of the
-    refuting sets."""
+def check_induced(pg, mode, rungs, vectors):
+    """The hubless diagram that `_Task.layout` lays out for each (vertex
+    set, least tipped vertex) in `rungs`, for each (breaks, ends), is the
+    diagram of the induced plane graph with the same port rule and apex
+    edges for the same vertices, and refutes only vectors that the gadget
+    diagram, checked against its definition, refutes. Returns, per vector,
+    the sizes of the refuting sets."""
     task = oracle._Task(pg, mode)
     cases = []
     for keep, t in rungs:
         keep = sorted(keep)
         tipped = [i for i, v in enumerate(keep) if v >= t]  # numbered as in the induced graph
-        cases.append((keep, tipped, task.layout(keep, gadgets, t)))
+        cases.append((keep, tipped, task.layout(keep, t)))
     refuting = []
     for breaks, ends in vectors:
+        gadget = task.edges(task.gadget, breaks, ends)
+        assert gadget == diagram(pg, breaks, ends, mode, True)
         sizes = []
         for keep, tipped, laid_out in cases:
             got = task.edges(laid_out, breaks, ends)
-            assert got == diagram(*induced(pg, keep, breaks, ends), mode, gadgets, tipped=tipped)
+            assert got == diagram(*induced(pg, keep, breaks, ends), mode, False, tipped=tipped)
             if not is_planar_edges(*got):
                 sizes.append(len(keep))
         if sizes:
-            assert not is_planar_edges(*task.edges(task.gadget, breaks, ends))
+            assert not is_planar_edges(*gadget)
         refuting.append(sizes)
     return refuting
 
@@ -423,9 +428,8 @@ def test_layout_every_vertex_set(mode):
         n = pg.graph.n
         keeps = [keep for k in range(1, n + 1) for keep in itertools.combinations(range(n), k)]
         vectors = random_vectors(pg, 6, rng)
-        # the gadget diagram with every apex edge, the hubless one with
-        # every apex edge and with those of a random tail of the vertices
-        check_induced(pg, mode, [(keep, 0) for keep in keeps], vectors, True)
+        # the hubless diagram with every apex edge and with those of a
+        # random tail of the vertices
         for t in (0, rng.randrange(n + 1)):
             check_induced(pg, mode, [(keep, t) for keep in keeps], vectors)
         sets += len(keeps)
@@ -486,10 +490,18 @@ def atlas_plane_graphs(max_n):
 EVERY_RUN = tuple(itertools.product((1, 2), (1, 7, 2048)))  # (jobs, chunk)
 
 
-def check_against_brute_force(pg, mode, runs=EVERY_RUN):
+def gadget_decide(pg, mode):
+    """A `decide` for brute_force by decide_fixed's definition, planarity of
+    the gadget diagram, laid out once for every vector."""
+    task = oracle._Task(pg, mode)
+    return lambda breaks, ends: is_planar_edges(*task.edges(task.gadget, breaks,
+                                                            ends or [0] * task.n))
+
+
+def check_against_brute_force(pg, mode, runs=EVERY_RUN, decide=None):
     """The searches with each (jobs, chunk) in `runs` against the linear
-    scan of decide_fixed; returns the last verdict."""
-    want = brute_force(pg, mode)
+    scan of `decide`, by default decide_fixed; returns the last verdict."""
+    want = brute_force(pg, mode, decide)
     for jobs, chunk in runs:
         v = enumerate_breaks(pg, mode, jobs=jobs, chunk=chunk)
         assert (v.status, v.witness, v.witness_ends, v.tried) == want, (jobs, chunk)
@@ -512,9 +524,9 @@ def check_against_brute_force(pg, mode, runs=EVERY_RUN):
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_enumerate_matches_brute_force_atlas(mode):
-    # every planar atlas graph with n <= 6; no graph with n = 6 is a NO in
-    # one-end mode
-    graphs = atlas_plane_graphs(6)
+    # every planar atlas graph with n <= 6, then those with n = 7; no graph
+    # with n = 6 is a NO in one-end mode
+    graphs = atlas_plane_graphs(7)
     small = [pg for pg in graphs if pg.graph.n <= 5]
     assert len(small) == 51  # every graph on 1..5 vertices but K5
     for pg in small:
@@ -522,6 +534,18 @@ def test_enumerate_matches_brute_force_atlas(mode):
     six = [check_against_brute_force(pg, mode, ((1, 7),)) for pg in graphs if pg.graph.n == 6]
     assert len(six) == 142
     assert sum(v.status == "no" for v in six) == {None: 0, BOTH_ENDS: 16, ONE_END: 0}[mode]
+    # n = 7: every graph in base mode, where all are YES; in the outer
+    # modes, whose searches over all 822 graphs take minutes, a sample in
+    # which both-ends mode has NO verdicts
+    seven = [pg for pg in graphs if pg.graph.n == 7]
+    assert len(seven) == 822
+    if mode is not None:
+        seven = random.Random(7).sample(seven, 40)
+    seven = [check_against_brute_force(pg, mode, ((1, 7),), gadget_decide(pg, mode))
+             for pg in seven]
+    if mode is None:
+        assert sum(v.tried for v in seven) == 5464
+    assert (sum(v.status == "no" for v in seven) > 0) == (mode == BOTH_ENDS)
 
 
 def bowtie_plane():
@@ -558,7 +582,7 @@ def test_gadget_hubless_plain_chain(mode):
     for pg in atlas_plane_graphs(5):
         n = pg.graph.n
         task = oracle._Task(pg, mode)
-        hubless = task.layout(range(n), False)
+        hubless = task.layout(range(n))
         end_vectors = ([[(bits >> v) & 1 for v in range(n)] for bits in range(1 << n)]
                        if mode == ONE_END else [[0] * n])
         for breaks in itertools.product(*(range(d) for d in task.degrees)):
@@ -571,6 +595,29 @@ def test_gadget_hubless_plain_chain(mode):
                     assert not is_planar_edges(*task.edges(task.gadget, breaks, ends))
     assert (vectors, hubless_planar) == {None: (2527, 2157), BOTH_ENDS: (2527, 431),
                                          ONE_END: (77850, 22838)}[mode]
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_gadget_is_last_rung_plus_hubs(mode):
+    # the planar atlas graphs with n <= 5: the gadget diagram is the last
+    # rung's, all vertices with every apex edge, plus hub j after every
+    # other node, joined to the four nodes of rim j, so deleting the hubs
+    # leaves the rung; a graph with no edge has no rung and no rim
+    edgeless = 0
+    for pg in atlas_plane_graphs(5):
+        n, m = pg.graph.n, pg.graph.edge_count
+        task = oracle._Task(pg, mode)
+        if not m:
+            edgeless += 1
+            assert not task.rungs and task.gadget == task.layout(range(n))
+            continue
+        rung = task.rungs[-1]
+        assert (rung.keep, rung.tips_from) == (list(range(n)), 0)
+        nodes, static, rows = rung.diagram
+        spokes = tuple((nodes + j, 2 * n + 4 * j + i) for j in range(m) for i in range(4))
+        assert task.gadget[:2] == (nodes + m, static + spokes)
+        assert task.gadget[2] is rows
+    assert edgeless == 5
 
 
 def test_limit_past_the_space_decides():

@@ -239,6 +239,11 @@ def test_rotate45_rejects_non_diagonal():
         rotate45(StringRep({0: Curve(0, (pt(0, 0), pt(1, 0)))}))
 
 
+def test_rotate45_rejects_circle_witness():
+    with pytest.raises(ValueError, match="circle witness"):
+        rotate45(StringRep({0: Curve(0, (pt(0, 0), pt(1, 1)))}, CircleWitness(pt(0, 0), F(4))))
+
+
 def test_rotate45_and_compaction_preserve_crossings():
     g = random_maximal_outerplanar(9, seed=2).graph
     b = build_vpg(g)
