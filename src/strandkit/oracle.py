@@ -26,11 +26,16 @@ each crossing the 4-cycle rim of its wheel; the gadget diagram is the
 hubless diagram of all vertices plus a hub per rim, numbered last. Its
 induced diagrams, with apex edges for any vertex set, are minors of the
 gadget diagram, so a non-planar one rules a vector out at a fraction of the
-cost. `_realizable`, the searches' per-vector step, tests the rungs of one
-ladder (`_Task.rungs`), then the gadget diagram, which alone accepts a
-vector. A rung reads only the most significant digits of an index, so a
-refuting rung rules out its whole block of `span` indices, and an exhaustive
-or `limit` scan resumes after it; a memo (up to MEMO_CAP) tests a block once.
+cost. Every diagram is tested contracted: a curve end that the mode joins
+to no apex is a leaf, its edge is left out, and a rim (or wheel) whose arm
+toward such a leaf is dead has at most 3 live arms and is one node; this
+changes no diagram's planarity (see `_Task.layout`). `_realizable`, the
+searches' per-vector step, tests the rungs of one ladder (`_Task.rungs`),
+then the gadget diagram, which alone accepts a vector. A rung reads only
+the most significant digits of an index, its quotient by the rung's `span`,
+so a refuting rung rules out its whole block of `span` indices, and an
+exhaustive or `limit` scan resumes after it; a memo (up to MEMO_CAP) tests
+a block once. Only the gadget test and a hit decode a whole vector.
 """
 
 from __future__ import annotations
@@ -86,12 +91,13 @@ MEMO_CAP = 4096  # verdicts a rung keeps; a full memo starts over
 
 
 class _Task:
-    """A plane graph's diagrams in one outer mode, each a triple (node count,
-    static edges, rows) with H(breaks, ends) = static edges +
-    rows[v][breaks[v]][ends[v]] over the vertices v. `layout` lays out the
-    hubless diagram of the plane graph induced on any vertex set, in rows
-    indexed by this task's breaks; `gadget` is the last rung plus its hubs.
-    It caches `gadget` and `rungs`; `counts` follows COUNTERS.
+    """A plane graph's diagrams in one outer mode, each a tuple (node count,
+    static edges, rims, rows): rows[v][breaks[v]][ends[v]] is a row entry
+    (path, broken) per vertex v, and `edges` builds one vector's diagram
+    from the entries. `layout` lays out the hubless diagram of the plane
+    graph induced on any vertex set, in rows indexed by this task's breaks;
+    `gadget` is the last rung plus its hubs. It caches `gadget` and `rungs`;
+    `counts` follows COUNTERS.
 
     Nodes are numbered curve ends, then rims, then the apex, then the hubs.
     The i-th kept vertex's curve runs from node 2i to node 2i+1, and kept edge
@@ -100,7 +106,7 @@ class _Task:
     second (v > w) and leaves it two nodes on. An outer mode puts an apex after
     the rims, joined to both ends of every tipped curve by static edges, or in
     one-end mode to the end that each tipped vertex's end bit picks (none if no
-    curve is tipped). An untipped vertex has one path for both end bits."""
+    curve is tipped). An untipped vertex has one entry for both end bits."""
 
     def __init__(self, pg: PlaneGraph, mode):
         mode = None if mode == "base" else mode
@@ -125,10 +131,10 @@ class _Task:
         every other node, joined to rim j; with no edge, no rung and no rim."""
         if not self.rungs:
             return self.layout(range(self.n))
-        nodes, static, rows = self.rungs[-1].diagram
-        rims = range(2 * self.n, 2 * self.n + 4 * self.pg.graph.edge_count, 4)
-        spokes = ((nodes + j, x + i) for j, x in enumerate(rims) for i in range(4))
-        return nodes + len(rims), static + tuple(spokes), rows
+        nodes, static, rims, rows = self.rungs[-1].diagram
+        wheels = tuple((x, cycle + ((hub, x), (hub, x + 1), (hub, x + 2), (hub, x + 3)))
+                       for hub, (x, cycle) in enumerate(rims, nodes))
+        return nodes + len(rims), static, wheels, rows
 
     @cached_property
     def rungs(self) -> list[_Rung]:
@@ -151,11 +157,19 @@ class _Task:
 
     def layout(self, keep, tips_from: int = 0):
         """The hubless diagram of the plane graph induced on the vertex set
-        `keep`, with apex edges for the kept vertices v >= `tips_from` only.
-        Kept vertex v's row for break b is the path along the full clockwise
-        order of v from b, through its crossings with kept neighbours only;
-        with none it is one edge between the curve's end nodes. Other
-        vertices add no edges.
+        `keep`, with apex edges for the kept vertices v >= `tips_from` only,
+        contracted. Kept vertex v's path for break b runs along the full
+        clockwise order of v from b, through its crossings with kept
+        neighbours only; with none it is one edge between the curve's end
+        nodes. Other vertices add no edges. A curve end that the mode joins
+        to no apex is a leaf: every end in base mode, both ends of an
+        untipped vertex, and in one-end mode the end that the end bit does
+        not pick. The entry (path, broken) leaves out the path edge to a
+        leaf end and names in `broken` the first node of the rim whose arm
+        toward it is dead; `edges` then maps the rims that any entry names
+        onto their first node and adds the 4-cycle of every other rim. The
+        path is flat: node pairs one after another. `static` holds the
+        apex edges of both-ends mode.
 
         For every vector, the diagram of any set S = `keep` is a minor of the
         gadget diagram, so a non-planar one rules the vector out. Deleting the
@@ -163,12 +177,24 @@ class _Task:
         curves of the vertices outside S, their end nodes, and the rims of
         their crossings with each other. A rim crossed by one kept curve only
         contracts to a point on that curve's path, which one more contraction
-        removes. What remains of a kept curve is its row above. The apex edges
-        restrict the same way: what is left joins the apex to the kept end
-        nodes that the outer mode names. Deleting apex edges leaves a subgraph.
-        So each rung is a minor of the gadget diagram for every vector in its
-        block, whatever the end bits that it does not read. Contracting the
-        rims leaves the plain diagram, so the plain one refutes no more."""
+        removes. What remains of a kept curve is its path above. The apex
+        edges restrict the same way: what is left joins the apex to the kept
+        end nodes that the outer mode names. Deleting apex edges leaves a
+        subgraph. So each rung is a minor of the gadget diagram for every
+        vector in its block, whatever the end bits that it does not read.
+        Contracting the rims leaves the plain diagram, so the plain one
+        refutes no more.
+
+        The contraction keeps each diagram's planarity either way. Deleting
+        the edge to a leaf deletes a degree-1 node's edge, which changes no
+        graph's planarity. A rim, or a wheel with its hub, with a dead arm
+        has at most 3 live arms, and contracting it, a connected subgraph, to
+        one node keeps a planar diagram planar. Conversely, in an embedding
+        of the contracted diagram the at most 3 arms of that node leave it in
+        some cyclic order, and any cyclic order of at most 3 arms is that of
+        the rim or wheel or of its mirror, which fits in a small disk around
+        the node. Parallel edges cannot arise: two curves cross once, so no
+        two paths join the same two rims."""
         g, rot = self.pg.graph, self.pg.rot
         loc = {v: i for i, v in enumerate(sorted(keep))}
         kept = [(u, v) for u, v in g.edges if u in loc and v in loc]
@@ -176,35 +202,60 @@ class _Task:
         base = 2 * len(loc)
         apex = base + 4 * len(kept)
         tipped = [i for v, i in loc.items() if v >= tips_from] if self.mode else []
-        static = [(x + i, x + (i + 1) % 4) for x in range(base, apex, 4) for i in range(4)]
-        if self.mode == BOTH_ENDS:
-            static += [(apex, 2 * i + e) for i in tipped for e in (0, 1)]
-        rows = [[((), ())] * d for d in self.degrees]
+        rims = tuple((x, ((x, x + 1), (x + 1, x + 2), (x + 2, x + 3), (x + 3, x)))
+                     for x in range(base, apex, 4))
+        static = (tuple((apex, 2 * i + e) for i in tipped for e in (0, 1))
+                  if self.mode == BOTH_ENDS else ())
+        none = ((), ())
+        rows = [[(none, none)] * d for d in self.degrees]
         for v, i in loc.items():
-            tips = ((((apex, 2 * i),), ((apex, 2 * i + 1),)) if self.one_end and v >= tips_from
-                    else ((), ()))
+            tip = bool(self.mode) and v >= tips_from
+            # (first end a leaf, last end a leaf, apex edge) per end bit, or
+            # one for both: one-end mode joins the picked end to the apex,
+            # both-ends mode both ends, by static edges
+            cuts = ([(False, True, (apex, 2 * i)), (True, False, (apex, 2 * i + 1))]
+                    if tip and self.one_end else [(not tip, not tip, ())])
             # the node where v's curve enters each crossing in clockwise
             # order, None at an unkept neighbour; it leaves two nodes later
             ports = [base + 4 * eid[(v, w)] + (v > w) if w in loc else None
                      for w in rot.order[v]]
             rows[v] = row = []
             for b in range(self.degrees[v]):
-                # the row of b - 1 holds unless b moves a kept neighbour
+                # the entry of b - 1 holds unless b moves a kept neighbour
                 if b == 0 or ports[b - 1] is not None:
                     xs = [x for x in ports[b:] + ports[:b] if x is not None]
-                    path = tuple(zip([2 * i] + [x + 2 for x in xs], xs + [2 * i + 1]))
-                    entry = (path + tips[0], path + tips[1])
+                    # the path's node pairs, flat: end, entry, exit, ..., end
+                    path = [2 * i]
+                    for x in xs:
+                        path += x, x + 2
+                    path.append(2 * i + 1)
+                    entry = []
+                    for first, last, tips in cuts:
+                        dead = xs[:first] + xs[len(xs) - last:]
+                        entry.append((tuple(path[2 * first:len(path) - 2 * last]) + tips,
+                                      tuple({x - (x - base) % 4 for x in dead})))
+                    entry = tuple(entry * (2 // len(cuts)))
                 row.append(entry)
-        return apex + bool(tipped), tuple(static), rows
+        return apex + bool(tipped), static, rims, rows
 
     @staticmethod
-    def edges(diagram, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
-        """(node count, edge list) of one diagram for one vector."""
-        nodes, static, rows = diagram
-        edges = list(static)
-        for row, b, e in zip(rows, breaks, ends):
-            edges += row[b][e]
-        return nodes, edges
+    def edges(diagram, entries) -> tuple[int, list[tuple[int, int]]]:
+        """(node count, edge list) of one diagram for one vector's row
+        entries: the static edges, the edges of every rim that no entry names
+        broken, and the paths, each broken rim mapped onto its first node."""
+        nodes, static, rims, _ = diagram
+        broken = {x for _, xs in entries for x in xs}
+        at = list(range(nodes))
+        for x in broken:
+            at[x + 1] = at[x + 2] = at[x + 3] = x
+        ends = map(at.__getitem__, chain.from_iterable(path for path, _ in entries))
+        return nodes, [*static, *chain.from_iterable(c for x, c in rims if x not in broken),
+                       *zip(ends, ends)]
+
+    def gadget_edges(self, breaks, ends) -> tuple[int, list[tuple[int, int]]]:
+        """(node count, edge list) of the gadget diagram of one vector."""
+        rows = self.gadget[3]
+        return self.edges(self.gadget, [row[b][e] for row, b, e in zip(rows, breaks, ends)])
 
     def check(self, breaks, ends) -> None:
         if len(breaks) != self.n or len(ends) != self.n:
@@ -226,50 +277,71 @@ class _Task:
 
 class _Rung:
     """A rung's vertex set `keep`, its least tipped vertex `tips_from`, its
-    block size `span`, its verdicts by the rows it reads in `memo`, its
-    counters' index in COUNTERS (the shortcut ones if it keeps every vertex),
-    and its hubless diagram, laid out by `task` on first test."""
+    block size `span`, its verdicts by the row entries it reads in `memo`,
+    its counters' index in COUNTERS (the shortcut ones if it keeps every
+    vertex), and its hubless diagram, laid out by `task` on first test."""
 
     def __init__(self, task: _Task, keep: list[int], tips_from: int, span: int):
         self.task, self.keep, self.tips_from, self.span = task, keep, tips_from, span
         self.memo, self.slot = {}, 1 if len(keep) == task.n else 3
+        # the end bits of the tipped vertices in one-end mode, which are the
+        # least significant digits of idx // span
+        self.end_bits = (task.n - tips_from) * task.one_end
 
     @cached_property
     def diagram(self):
         return self.task.layout(self.keep, self.tips_from)
 
+    @cached_property
+    def reads(self):
+        """(row, radix, shift of its end bit) per kept vertex, the least
+        significant digit first; an untipped vertex reads bit 0, as both of
+        its end bits have one entry."""
+        rows, t, keep = self.diagram[3], self.tips_from, set(self.keep)
+        return [(rows[v], self.task.degrees[v], v - t if v >= t else self.end_bits)
+                for v in self.task.digits if v in keep]
+
+    def read(self, idx: int) -> tuple:
+        """The row entries of the vector of index idx that the rung reads."""
+        q = idx // self.span
+        bits, q = q & ((1 << self.end_bits) - 1), q >> self.end_bits
+        key = []
+        for row, radix, shift in self.reads:
+            q, b = divmod(q, radix)
+            key.append(row[b][bits >> shift & 1])
+        return tuple(key)
+
 
 def decide_fixed(pg: PlaneGraph, breaks, outer_mode=None, end_choice=None) -> bool:
     """Planarity of the gadget diagram of one vector, with the apex in outer
-    modes: the definition, with no rung or hubless test before it."""
+    modes: the definition, with no rung and no hubless test before it."""
     t = _Task(pg, outer_mode)
     if t.one_end and end_choice is None:
         raise ValueError("one-end mode needs an end choice per vertex")
     ends = [0] * t.n if end_choice is None else list(end_choice)
     t.check(breaks, ends)
-    return is_planar_edges(*t.edges(t.gadget, breaks, ends))
+    return is_planar_edges(*t.gadget_edges(breaks, ends))
 
 
-def _realizable(task: _Task, breaks, ends) -> int:
-    """0 when the gadget diagram of one vector is planar, else the span of
-    the first rung that refutes it, or 1 when the gadget diagram does.
-    Planarity tests, not memo hits, are counted in `task.counts`."""
+def _realizable(task: _Task, idx: int) -> int:
+    """0 when the gadget diagram of the vector of index idx is planar, else
+    the span of the first rung that refutes it, or 1 when the gadget diagram
+    does. Planarity tests, not memo hits, are counted in `task.counts`."""
     counts = task.counts
     for rung in task.rungs:
-        nodes, static, rows = rung.diagram
-        key = tuple(rows[v][breaks[v]][ends[v]] for v in rung.keep)
+        key = rung.read(idx)
         planar = rung.memo.get(key)
         if planar is None:
             if len(rung.memo) == MEMO_CAP:
                 rung.memo.clear()
-            planar = rung.memo[key] = is_planar_edges(nodes, list(chain(static, *key)))
+            planar = rung.memo[key] = is_planar_edges(*task.edges(rung.diagram, key))
             counts[0] += 1
             counts[rung.slot] += 1
             counts[rung.slot + 1] += not planar
         if not planar:
             return rung.span
     counts[0] += 1
-    return 0 if is_planar_edges(*task.edges(task.gadget, breaks, ends)) else 1
+    return 0 if is_planar_edges(*task.gadget_edges(*task.decode(idx))) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +359,10 @@ def _scan(task: _Task, indices, span: int, chunk: int, stride: int, w: int, firs
         while i < hi:
             if min(first) < c:  # a worker hit an earlier chunk, or failed (-1)
                 return None
-            breaks, ends = task.decode(indices[i])
-            step = _realizable(task, breaks, ends)
+            step = _realizable(task, indices[i])
             if not step:
                 first[w] = c
+                breaks, ends = task.decode(indices[i])
                 return i, tuple(breaks), tuple(ends) if task.one_end else None
             i = min(hi, i - i % step + step) if blocks else i + 1
     return None

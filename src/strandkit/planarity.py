@@ -6,7 +6,11 @@ runs its orientation (phase 1) and testing (phase 2) only, and is the hot
 path of the realizability oracle; `planar_rotation` then also resolves the
 edge sides into a rotation system (phase 3), which callers validate via the
 Euler check in `graphs.faces`. Phases 1 and 2 run once per oracle vector,
-so their DFS loops keep the per-edge steps inline and the state in locals.
+so their DFS loops keep the per-edge steps inline and the state in locals,
+each conflict pair is one flat list, and phase 1 starts no DFS at an
+isolated vertex: the oracle's contracted diagrams keep the ids of their
+leaf ends and of the rim nodes they merge, so on the Thm-2 instance about
+54 of the 8-vertex rung's 88 nodes have no edge.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class _LRTest:
         self.side = [1] * m
         self.lowpt_edge = [-1] * m
         self.stack_bottom: list[object | None] = [None] * m
-        self.S: list[list[list[int | None]]] = []
+        self.S: list[list[int | None]] = []
 
         self.out_edges: list[list[int]] = [[] for _ in range(n)]
 
@@ -86,7 +90,7 @@ class _LRTest:
         lowpt, lowpt2, nd = self.lowpt, self.lowpt2, self.nesting_depth
         height, parent_edge = self.height, self.parent_edge
         for s in range(self.n):
-            if height[s] != -1:
+            if height[s] != -1 or not adj[s]:  # visited, or isolated
                 continue
             self.roots.append(s)
             height[s] = 0
@@ -148,89 +152,63 @@ class _LRTest:
     # ------------------------------------------------------------------
     # phase 2: testing via conflict pairs
     # ------------------------------------------------------------------
-    # A conflict pair is [[Llow, Lhigh], [Rlow, Rhigh]] with edge ids or None.
-
-    def _conflicting(self, interval: list[int | None], b: int) -> bool:
-        return interval[1] is not None and self.lowpt[interval[1]] > self.lowpt[b]
-
-    def _lowest(self, pair: list[list[int | None]]) -> int:
-        left, right = pair
-        if left[0] is None:
-            return self.lowpt[right[0]]
-        if right[0] is None:
-            return self.lowpt[left[0]]
-        return min(self.lowpt[left[0]], self.lowpt[right[0]])
+    # A conflict pair is one list [Llow, Lhigh, Rlow, Rhigh] of edge ids or
+    # None: its left interval, then its right one. An interval is
+    # conflicting with b if its high edge's lowpoint is above b's.
 
     def _add_constraints(self, ei: int, e: int) -> bool:
         S = self.S
         lowpt = self.lowpt
         ref = self.ref
-        P: list[list[int | None]] = [[None, None], [None, None]]
+        P: list[int | None] = [None, None, None, None]
         bottom = self.stack_bottom[ei]
         while True:
             Q = S.pop()
-            if Q[0][0] is not None or Q[0][1] is not None:
-                Q[0], Q[1] = Q[1], Q[0]
-            if Q[0][0] is not None or Q[0][1] is not None:
+            if Q[0] is not None or Q[1] is not None:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
                 return False
-            if lowpt[Q[1][0]] > lowpt[e]:
-                if P[1][1] is None:
-                    P[1][1] = Q[1][1]
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[3] is None:
+                    P[3] = Q[3]
                 else:
-                    ref[P[1][0]] = Q[1][1]
-                P[1][0] = Q[1][0]
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
             else:
-                ref[Q[1][0]] = self.lowpt_edge[e]
+                ref[Q[2]] = self.lowpt_edge[e]
             if (S[-1] if S else None) is bottom:
                 break
-        while S and (self._conflicting(S[-1][0], ei) or self._conflicting(S[-1][1], ei)):
-            Q = S.pop()
-            if self._conflicting(Q[1], ei):
-                Q[0], Q[1] = Q[1], Q[0]
-            if self._conflicting(Q[1], ei):
-                return False
-            if P[1][0] is not None:
-                ref[P[1][0]] = Q[1][1]
-            if Q[1][0] is not None:
-                P[1][0] = Q[1][0]
-            if P[0][1] is None:
-                P[0][1] = Q[0][1]
+        lb = lowpt[ei]
+        while S:
+            Q = S[-1]
+            hl, hr = Q[1], Q[3]
+            right = hr is not None and lowpt[hr] > lb
+            if not right and (hl is None or lowpt[hl] <= lb):
+                break
+            S.pop()
+            if right:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                if Q[3] is not None and lowpt[Q[3]] > lb:
+                    return False
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[1] is None:
+                P[1] = Q[1]
             else:
-                ref[P[0][0]] = Q[0][1]
-            P[0][0] = Q[0][0]
-        if P[0][0] is not None or P[0][1] is not None or P[1][0] is not None or P[1][1] is not None:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
             S.append(P)
         return True
-
-    def _trim_back_edges(self, u: int) -> None:
-        S = self.S
-        hu = self.height[u]
-        while S and self._lowest(S[-1]) == hu:
-            P = S.pop()
-            if P[0][0] is not None:
-                self.side[P[0][0]] = -1
-        if S:
-            P = S.pop()
-            while P[0][1] is not None and self.dst[P[0][1]] == u:
-                P[0][1] = self.ref[P[0][1]]
-            if P[0][1] is None and P[0][0] is not None:
-                self.ref[P[0][0]] = P[1][0]
-                self.side[P[0][0]] = -1
-                P[0][0] = None
-            while P[1][1] is not None and self.dst[P[1][1]] == u:
-                P[1][1] = self.ref[P[1][1]]
-            if P[1][1] is None and P[1][0] is not None:
-                self.ref[P[1][0]] = P[0][0]
-                self.side[P[1][0]] = -1
-                P[1][0] = None
-            S.append(P)
 
     def _test_root(self, root: int) -> bool:
         out_edges = self.out_edges
         parent_edge = self.parent_edge
         src, dst = self.src, self.dst
         lowpt, height = self.lowpt, self.height
-        lowpt_edge, stack_bottom, ref = self.lowpt_edge, self.stack_bottom, self.ref
+        lowpt_edge, stack_bottom, ref, side = self.lowpt_edge, self.stack_bottom, self.ref, self.side
         S = self.S
         stack = [(root, iter(out_edges[root]))]
         while stack:
@@ -242,7 +220,7 @@ class _LRTest:
                     stack.append((w, iter(out_edges[w])))
                     break
                 lowpt_edge[ei] = ei
-                S.append([[None, None], [ei, ei]])
+                S.append([None, None, ei, ei])
                 # integrate the back edge ei into v's parent edge
                 if lowpt[ei] < height[v]:
                     if ei == out_edges[v][0]:
@@ -255,11 +233,41 @@ class _LRTest:
                 if e == -1:
                     continue
                 u = src[e]
-                self._trim_back_edges(u)
-                if lowpt[e] < height[u]:
+                hu = height[u]
+                # trim the back edges that end at u: drop the pairs whose
+                # lowest lowpoint is u's height, then cut u's edges off the
+                # top pair's intervals
+                while S:
+                    P = S[-1]
+                    lo, ro = P[0], P[2]
+                    if (lowpt[ro] if lo is None else lowpt[lo] if ro is None
+                            else min(lowpt[lo], lowpt[ro])) != hu:
+                        break
+                    S.pop()
+                    if lo is not None:
+                        side[lo] = -1
+                if S:
+                    P = S[-1]
+                    h = P[1]
+                    while h is not None and dst[h] == u:
+                        h = ref[h]
+                    P[1] = h
+                    if h is None and P[0] is not None:
+                        ref[P[0]] = P[2]
+                        side[P[0]] = -1
+                        P[0] = None
+                    h = P[3]
+                    while h is not None and dst[h] == u:
+                        h = ref[h]
+                    P[3] = h
+                    if h is None and P[2] is not None:
+                        ref[P[2]] = P[0]
+                        side[P[2]] = -1
+                        P[2] = None
+                if lowpt[e] < hu:
                     top = S[-1]
-                    hl = top[0][1]
-                    hr = top[1][1]
+                    hl = top[1]
+                    hr = top[3]
                     if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
                         ref[e] = hl
                     else:

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from strandkit.families import random_planar_3tree, subdivided_k23, triple_stellation
-from strandkit.graphs import Graph, RotationScheme, euler_check, is_planar
+from strandkit.graphs import Graph, RotationScheme, euler_check, faces, is_planar
 from strandkit.oracle import BOTH_ENDS, _Task
 from strandkit.planarity import is_planar_edges, planar_rotation
 from strandkit.sp import build_sp
@@ -88,7 +88,8 @@ def test_embedding_euler_valid(seed):
 
 def check_against_networkx(n, edges):
     """Both entry points agree with networkx, and every rotation is a plane
-    embedding by the Euler check."""
+    embedding by the Euler check: V - E + F = 2 on each component with an
+    edge, which on a connected graph is `euler_check`."""
     G = nx.Graph()
     G.add_nodes_from(range(n))
     G.add_edges_from(edges)
@@ -97,7 +98,12 @@ def check_against_networkx(n, edges):
     rot = planar_rotation(n, edges)
     assert (rot is not None) == want
     if rot is not None:
-        assert euler_check(Graph(n, edges), RotationScheme(rot))
+        g, scheme = Graph(n, edges), RotationScheme(rot)
+        if g.is_connected():
+            assert euler_check(g, scheme)
+        used = [v for v in G if G.degree(v)]
+        components = nx.number_connected_components(G.subgraph(used))
+        assert len(used) - len(edges) + len(faces(g, scheme)) == 2 * components
     return want
 
 
@@ -198,25 +204,50 @@ def test_large_graphs_against_networkx(seed):
         assert not check_against_networkx(*with_subdivision(n, sparse, kuratowski, rng))
 
 
-def diagram_edges(pg, breaks, gadgets, apex):
-    """Node count and edges of the gadget H, or else the plain H of the test
-    reference, with an apex on every end node if `apex`."""
-    mode = BOTH_ENDS if apex else None
+@pytest.mark.parametrize("seed", range(24))
+def test_sparse_ids_against_networkx(seed):
+    # a graph whose vertices are scattered over a larger id space, with
+    # pendant leaves and isolated vertices mixed in, as in the oracle's
+    # contracted diagrams: a planar one, one with a random extra edge, and
+    # one with a Kuratowski subdivision, in turn
+    rng = random.Random(2000 + seed)
+    k = rng.randint(6, 40)
+    n, edges = k, sparsified(k, maximal_planar(k, rng), rng.choice((0.3, 0.6, 0.9)), rng)
+    if seed % 3 == 1:
+        edges.append(non_edge(n, edges, rng))
+    elif seed % 3 == 2:
+        n, edges = with_subdivision(n, edges, rng.choice((K5, K33)), rng)
+    for _ in range(rng.randint(1, n)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    ids = rng.sample(range(3 * n), n)
+    edges = [(ids[u], ids[v]) if rng.random() < 0.5 else (ids[v], ids[u]) for u, v in edges]
+    rng.shuffle(edges)
+    planar = check_against_networkx(3 * n, edges)
+    if seed % 3 != 1:
+        assert planar == (seed % 3 == 0)
+
+
+def diagram_edges(task, breaks, gadgets):
+    """Node count and edges of the gadget H that `task` lays out, or else
+    the plain H of the test reference in the task's outer mode, for `breaks`
+    and end bits 0."""
+    ends = [0] * task.n
     if not gadgets:
-        return diagram(pg, breaks, [0] * pg.graph.n, mode, False, plain=True)
-    t = _Task(pg, mode)
-    return t.edges(t.gadget, breaks, [0] * t.n)
+        return diagram(task.pg, breaks, ends, task.mode, False, plain=True)
+    return task.gadget_edges(breaks, ends)
 
 
 def test_k23_diagrams_against_networkx():
     # every both-ends vector of the subdivided K_{2,3}: no H is planar
     pg = build_sp(subdivided_k23()).plane
     g = pg.graph
+    task = _Task(pg, BOTH_ENDS)
     vectors = list(itertools.product(*(range(max(1, g.degree(v))) for v in range(g.n))))
     assert len(vectors) == 4608
     for breaks in vectors:
         for gadgets in (False, True):
-            assert not check_against_networkx(*diagram_edges(pg, breaks, gadgets, True))
+            assert not check_against_networkx(*diagram_edges(task, breaks, gadgets))
 
 
 def test_thm2_diagrams_against_networkx():
@@ -230,7 +261,9 @@ def test_thm2_diagrams_against_networkx():
     rng = random.Random(2)
     for _ in range(50):
         breaks = [rng.randrange(max(1, g.degree(v))) for v in range(g.n)]
-        assert check_against_networkx(*diagram_edges(pg, breaks, False, False))
-        planar = [check_against_networkx(*task.edges(rung, breaks, [0] * g.n)) for rung in rungs]
+        assert check_against_networkx(*diagram_edges(task, breaks, False))
+        planar = [check_against_networkx(*task.edges(rung, [row[b][0] for row, b in
+                                                             zip(rung[3], breaks)]))
+                  for rung in rungs]
         assert not all(planar)
-        assert not check_against_networkx(*diagram_edges(pg, breaks, True, False))
+        assert not check_against_networkx(*diagram_edges(task, breaks, True))
