@@ -22,10 +22,17 @@ def graph_to_json(g: Graph, rot: RotationScheme | None = None) -> dict:
     return out
 
 
+def _int(x, what: str) -> int:
+    """x, which must be a JSON integer; JSON true and false load as bools,
+    which Python counts as the ints 1 and 0."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
-    if type(data["n"]) is not int:
-        raise ValueError(f"n {data['n']!r} is not an integer")
-    g = Graph(data["n"], [tuple(e) for e in data["edges"]])
+    g = Graph(_int(data["n"], "n"),
+              [tuple(_int(x, "edge end") for x in e) for e in data["edges"]])
     rot = rotation_from_json(data, g.n)
     if rot is not None:
         rot.validate(g)
@@ -43,7 +50,7 @@ def rotation_from_json(data: dict, n: int) -> RotationScheme | None:
     for k, nbrs in data["rotation"].items():
         if k not in ids:
             raise ValueError(f"rotation key {k!r} is not a vertex id 0..{n - 1}")
-        order[ids[k]] = list(nbrs)
+        order[ids[k]] = [_int(w, "rotation entry") for w in nbrs]
     return RotationScheme(order)
 
 
@@ -65,6 +72,7 @@ def _pt_json(p) -> list[int]:
 
 
 def _pt_parse(q) -> tuple[Fraction, Fraction]:
+    q = [_int(x, "coordinate") for x in q]
     return (Fraction(q[0], q[1]), Fraction(q[2], q[3]))
 
 
@@ -104,7 +112,8 @@ def rep_from_json(data: dict) -> StringRep:
         raise ValueError("a witness must be null or have exactly one key, circle or polyline")
     if "circle" in w:
         c = w["circle"]
-        return StringRep(curves, CircleWitness(_pt_parse(c["center"]), Fraction(*c["radius2"])))
+        radius2 = Fraction(*(_int(x, "radius2") for x in c["radius2"]))
+        return StringRep(curves, CircleWitness(_pt_parse(c["center"]), radius2))
     return StringRep(curves, PolylineWitness(tuple(_pt_parse(q) for q in w["polyline"])))
 
 

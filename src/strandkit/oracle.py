@@ -23,16 +23,21 @@ not depend on `jobs`. Each worker keeps its own rung memos.
 
 Deleting the hubs, which only accepting needs, leaves the hubless diagram,
 each crossing the 4-cycle rim of its wheel; the gadget diagram is the
-hubless diagram of all vertices plus a hub per rim, numbered last. Its
-induced diagrams, with apex edges for any vertex set, are minors of the
-gadget diagram, so a non-planar one rules a vector out at a fraction of the
-cost. Every diagram is tested contracted: a curve end that the mode joins
-to no apex is a leaf, its edge is left out, and a rim (or wheel) whose arm
-toward such a leaf is dead has at most 3 live arms and is one node; this
-changes no diagram's planarity (see `_Task.layout`). `_realizable`, the
-searches' per-vector step, tests the rungs of one ladder (`_Task.rungs`),
-then the gadget diagram, which alone accepts a vector. A rung reads only
-the most significant digits of an index, its quotient by the rung's `span`,
+hubless diagram of all vertices with every apex edge plus a hub per rim,
+numbered last. Its induced diagrams, with apex edges for any vertex set,
+are minors of the gadget diagram, so a non-planar one rules a vector out at
+a fraction of the cost. Every diagram is tested contracted: a curve end
+that the mode joins to no apex is a leaf, its edge is left out, and a rim
+(or wheel) whose arm toward such a leaf is dead has at most 3 live arms and
+is one node; this changes no diagram's planarity (see `_Task.layout`).
+
+An index's digits, the most significant first, are each vertex's break,
+then in one-end mode the end bits (`_Task.digits`). A rung is the hubless
+diagram that the first d of them fix: the vertices among them, with apex
+edges for those whose end bits are among them. `_realizable`, the
+searches' per-vector step, tests the rungs of one ladder of digit counts
+(`_Task.rungs`), then the gadget diagram, which alone accepts a vector. A
+rung reads only its digits, the quotient of an index by the rung's `span`,
 so a refuting rung rules out its whole block of `span` indices, and an
 exhaustive or `limit` scan resumes after it; a memo (up to MEMO_CAP) tests
 a block once. Only the gadget test and a hit decode a whole vector.
@@ -85,8 +90,8 @@ class Verdict:
 COUNTERS = ("planarity_calls", "shortcut_attempts", "shortcut_hits", "prefix_attempts",
             "prefix_hits")
 
-FIRST_RUNG = 8  # the ladder's prefixes have 8, 16, 32, ... vertices below n
-FIRST_END_RUNG = 4  # one-end end-bit rungs tip 4, 8, 16, ... vertices below n, then n
+FIRST_RUNG = 8  # the ladder reads 8, 16, 32, ... break digits below n, then n
+FIRST_END_RUNG = 4  # then in one-end mode 4, 8, 16, ... end bits below n, then n
 MEMO_CAP = 4096  # verdicts a rung keeps; a full memo starts over
 
 
@@ -96,8 +101,13 @@ class _Task:
     (path, broken) per vertex v, and `edges` builds one vector's diagram
     from the entries. `layout` lays out the hubless diagram of the plane
     graph induced on any vertex set, in rows indexed by this task's breaks;
-    `gadget` is the last rung plus its hubs. It caches `gadget` and `rungs`;
-    `counts` follows COUNTERS.
+    `gadget` is that of all vertices with every apex edge, plus its hubs.
+    It caches `gadget` and `rungs`; `counts` follows COUNTERS.
+
+    `digits` holds (slot, radix) per digit of an index, the most
+    significant first: slot v < n is the break of vertex v, the vertices
+    taken the highest degree first and the least id on ties, and in one-end
+    mode slot n + v is the end bit of v, for v = n-1, n-2, ..., 0.
 
     Nodes are numbered curve ends, then rims, then the apex, then the hubs.
     The i-th kept vertex's curve runs from node 2i to node 2i+1, and kept edge
@@ -118,46 +128,39 @@ class _Task:
         self.pg, self.mode, self.n = pg, mode, n
         self.degrees = [max(1, g.degree(v)) for v in range(n)]
         self.one_end = mode == ONE_END
-        # end bits are the least significant digits of an index, then the
-        # vertices, the highest degree most significant
-        self.end_radix = 1 << n if self.one_end else 1
-        self.digits = sorted(range(n), key=lambda v: (-self.degrees[v], v))[::-1]
-        self.total = math.prod(self.degrees) * self.end_radix
+        order = sorted(range(n), key=lambda v: (-self.degrees[v], v))
+        self.digits = ([(v, self.degrees[v]) for v in order]
+                       + [(n + v, 2) for v in reversed(range(n))] * self.one_end)
+        self.total = math.prod(radix for _, radix in self.digits)
         self.counts = [0] * len(COUNTERS)
 
     @cached_property
     def gadget(self):
-        """The last rung, all vertices with every apex edge, plus hub j after
-        every other node, joined to rim j; with no edge, no rung and no rim."""
-        if not self.rungs:
-            return self.layout(range(self.n))
-        nodes, static, rims, rows = self.rungs[-1].diagram
+        """The hubless diagram of all vertices with every apex edge, plus hub
+        j after every other node, joined to rim j."""
+        nodes, static, rims, rows = self.layout(range(self.n), range(self.n))
         wheels = tuple((x, cycle + ((hub, x), (hub, x + 1), (hub, x + 2), (hub, x + 3)))
                        for hub, (x, cycle) in enumerate(rims, nodes))
         return nodes + len(rims), static, wheels, rows
 
     @cached_property
     def rungs(self) -> list[_Rung]:
-        """The hubless diagrams of the first 8, 16, 32, ... vertices in
-        canonical order (fewer than n), then of all n, where they span an
-        edge (else every diagram is planar). In one-end mode these have no
-        apex edges, and end-bit rungs j = 4, 8, 16, ... (fewer than n), then
-        n follow, with apex edges for the vertices n-j..n-1, whose end bits
-        are the most significant; doubling j keeps a sampled vector, whose
-        end-bit memos rarely hit, to a few tests."""
-        n, order, edges = self.n, self.digits[::-1], self.pg.graph.edges
-        rank = {v: i for i, v in enumerate(order)}
-        t0 = n if self.one_end else 0  # the `tips_from` of the rungs that read no end bit
+        """The rungs of the first d digits, for d = 8, 16, 32, ... (fewer
+        than n), then n, where their vertices span an edge (else every
+        diagram is planar). In one-end mode these have no apex edges, and
+        the rungs of n + j digits follow, j = 4, 8, 16, ... (fewer than n),
+        then n, with apex edges for the vertices n-j..n-1, whose end bits
+        are the top j; doubling j keeps a sampled vector, whose end-bit
+        memos rarely hit, to a few tests."""
+        n, edges = self.n, self.pg.graph.edges
+        rank = {v: p for p, (v, _) in enumerate(self.digits[:n])}
         sizes = lambda first: [first << i for i in range(n.bit_length()) if first << i < n] + [n]
-        ladder = [(k, t0) for k in sizes(FIRST_RUNG)]
-        ladder += [(n, n - j) for j in sizes(FIRST_END_RUNG) * self.one_end]
-        return [_Rung(self, sorted(order[:k]), t,
-                      self.total // math.prod(self.degrees[v] for v in order[:k]) >> t0 - t)
-                for k, t in ladder if any(max(rank[u], rank[v]) < k for u, v in edges)]
+        ladder = sizes(FIRST_RUNG) + [n + j for j in sizes(FIRST_END_RUNG)] * self.one_end
+        return [_Rung(self, d) for d in ladder if any(max(rank[u], rank[v]) < d for u, v in edges)]
 
-    def layout(self, keep, tips_from: int = 0):
+    def layout(self, keep, tips):
         """The hubless diagram of the plane graph induced on the vertex set
-        `keep`, with apex edges for the kept vertices v >= `tips_from` only,
+        `keep`, with apex edges for the kept vertices in `tips` only,
         contracted. Kept vertex v's path for break b runs along the full
         clockwise order of v from b, through its crossings with kept
         neighbours only; with none it is one edge between the curve's end
@@ -201,7 +204,7 @@ class _Task:
         eid = {e: j for j, (u, v) in enumerate(kept) for e in ((u, v), (v, u))}
         base = 2 * len(loc)
         apex = base + 4 * len(kept)
-        tipped = [i for v, i in loc.items() if v >= tips_from] if self.mode else []
+        tipped = [i for v, i in loc.items() if v in tips] if self.mode else []
         rims = tuple((x, ((x, x + 1), (x + 1, x + 2), (x + 2, x + 3), (x + 3, x)))
                      for x in range(base, apex, 4))
         static = (tuple((apex, 2 * i + e) for i in tipped for e in (0, 1))
@@ -209,7 +212,7 @@ class _Task:
         none = ((), ())
         rows = [[(none, none)] * d for d in self.degrees]
         for v, i in loc.items():
-            tip = bool(self.mode) and v >= tips_from
+            tip = bool(self.mode) and v in tips
             # (first end a leaf, last end a leaf, apex edge) per end bit, or
             # one for both: one-end mode joins the picked end to the apex,
             # both-ends mode both ends, by static edges
@@ -230,9 +233,9 @@ class _Task:
                         path += x, x + 2
                     path.append(2 * i + 1)
                     entry = []
-                    for first, last, tips in cuts:
+                    for first, last, to_apex in cuts:
                         dead = xs[:first] + xs[len(xs) - last:]
-                        entry.append((tuple(path[2 * first:len(path) - 2 * last]) + tips,
+                        entry.append((tuple(path[2 * first:len(path) - 2 * last]) + to_apex,
                                       tuple({x - (x - base) % 4 for x in dead})))
                     entry = tuple(entry * (2 // len(cuts)))
                 row.append(entry)
@@ -267,39 +270,45 @@ class _Task:
                 raise InvalidBreak(f"end {ends[v]} is not 0 or 1 at vertex {v}")
 
     def decode(self, idx: int) -> tuple[list[int], list[int]]:
-        """The break vector and the end bits (bit v for vertex v) of index idx."""
-        idx, bits = divmod(idx, self.end_radix)
-        breaks = [0] * self.n
-        for v in self.digits:
-            idx, breaks[v] = divmod(idx, self.degrees[v])
-        return breaks, [(bits >> v) & 1 for v in range(self.n)]
+        """The break vector and the end bits of index idx: each digit, the
+        least significant first, fills its slot of breaks + ends."""
+        vector = [0] * (2 * self.n)
+        for slot, radix in reversed(self.digits):
+            idx, vector[slot] = divmod(idx, radix)
+        return vector[:self.n], vector[self.n:]
 
 
 class _Rung:
-    """A rung's vertex set `keep`, its least tipped vertex `tips_from`, its
-    block size `span`, its verdicts by the row entries it reads in `memo`,
-    its counters' index in COUNTERS (the shortcut ones if it keeps every
-    vertex), and its hubless diagram, laid out by `task` on first test."""
+    """The rung of the first d digits of an index: the hubless diagram of
+    the vertices among them, `keep`, with apex edges for those whose end
+    bits are among them (the top `end_bits`), or in both-ends mode for
+    every kept vertex, laid out by `task` on first test. Its block size
+    `span` is the product of the radices after digit d; it keeps its
+    verdicts by the row entries it reads in `memo`, and its counters' index
+    in COUNTERS in `slot` (the shortcut ones if it keeps every vertex)."""
 
-    def __init__(self, task: _Task, keep: list[int], tips_from: int, span: int):
-        self.task, self.keep, self.tips_from, self.span = task, keep, tips_from, span
-        self.memo, self.slot = {}, 1 if len(keep) == task.n else 3
-        # the end bits of the tipped vertices in one-end mode, which are the
-        # least significant digits of idx // span
-        self.end_bits = (task.n - tips_from) * task.one_end
+    def __init__(self, task: _Task, d: int):
+        n, prefix = task.n, task.digits[:d]
+        self.task, self.d, self.span = task, d, math.prod(r for _, r in task.digits[d:])
+        self.keep = sorted(v for v, _ in prefix if v < n)
+        self.end_bits = d - len(self.keep)
+        self.tips = [s - n for s, _ in prefix[n:]] if task.one_end else self.keep
+        self.memo, self.slot = {}, 1 if len(self.keep) == n else 3
 
     @cached_property
     def diagram(self):
-        return self.task.layout(self.keep, self.tips_from)
+        return self.task.layout(self.keep, self.tips)
 
     @cached_property
     def reads(self):
-        """(row, radix, shift of its end bit) per kept vertex, the least
-        significant digit first; an untipped vertex reads bit 0, as both of
-        its end bits have one entry."""
-        rows, t, keep = self.diagram[3], self.tips_from, set(self.keep)
-        return [(rows[v], self.task.degrees[v], v - t if v >= t else self.end_bits)
-                for v in self.task.digits if v in keep]
+        """(row, radix, shift of its end bit in idx // span) per kept
+        vertex, the least significant digit first; the end bit of the
+        tipped vertex at digit p is bit d-1-p, and an untipped vertex reads
+        bit 0, as both of its end bits have one entry."""
+        n, d, rows = self.task.n, self.d, self.diagram[3]
+        shift = {s - n: d - 1 - p for p, (s, _) in enumerate(self.task.digits[n:d], n)}
+        return [(rows[v], radix, shift.get(v, self.end_bits))
+                for v, radix in reversed(self.task.digits[:len(self.keep)])]
 
     def read(self, idx: int) -> tuple:
         """The row entries of the vector of index idx that the rung reads."""

@@ -292,9 +292,9 @@ def test_oracle_counters_in_manifest(tmp_path):
     assert main(["gen", "subdivided-k23", "--out", str(g)]) == 0
     assert main(["--manifest", str(mf), "oracle", str(g), "--mode", "both-ends",
                  "--out", str(tmp_path / "v.json")]) == 0
-    # the ladder's one rung, P_8, rules no vector out, and its memo tests it
-    # once per distinct row tuple of its prefix; plain H then rules out
-    # every vector, so no gadget test runs
+    # the ladder's first rung, the first 8 digits, rules no vector out, and
+    # its memo tests it once per distinct row tuple of its prefix; the rung
+    # of all vertices then rules out every vector, so no gadget test runs
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
         "planarity_calls": 4632, "shortcut_attempts": 4608, "shortcut_hits": 4608,
         "prefix_attempts": 24, "prefix_hits": 0}
@@ -303,9 +303,10 @@ def test_oracle_counters_in_manifest(tmp_path):
                             "elapsed_ms"}
     assert main(["--manifest", str(mf), "repro", "thm2-sample", "--samples", "20",
                  "--out", str(tmp_path / "t.json")]) == 0
-    # Thm-2: the rungs P_8 and P_16 come before plain H and rule out every
-    # vector, so neither plain H nor gadget H is tested; P_8 rules out 19
-    # of the 20 vectors, and P_16 the one where P_8 missed
+    # Thm-2: the rungs of the first 8 and 16 digits come before the rung of
+    # all vertices and rule out every vector, so neither that rung nor the
+    # gadget diagram is tested; the first rules out 19 of the 20 vectors,
+    # and the second the one where the first missed
     assert json.loads(mf.read_text())["extra"]["oracle"] == {
         "planarity_calls": 21, "shortcut_attempts": 0, "shortcut_hits": 0,
         "prefix_attempts": 21, "prefix_hits": 20}
@@ -366,6 +367,43 @@ def test_embed_check_rotation_keys(tmp_path, case, capsys):
     assert main(["--manifest", str(mf), "embed", str(g), "--check"]) == code
     assert json.loads(mf.read_text())["exit_code"] == code
     assert ("malformed input" in capsys.readouterr().err) == bool(code)
+
+
+# the path 0-1-2 as graph or rep JSON, with %s for one entry whose value is 1
+BOOLEAN_CASES = {
+    "edge_end": ("g.json", '{"n": 3, "edges": [[%s, 0], [1, 2]]}'),
+    "rotation_entry": ("g.json", '{"n": 3, "edges": [[0, 1], [1, 2]], '
+                                 '"rotation": {"0": [%s], "1": [0, 2], "2": [1]}}'),
+    # chords of the unit circle; curve 0 starts at the point (1, 0)
+    "coordinate": ("rep.json", '{"curves": {"0": [[%s, 1, 0, 1], [-1, 1, 0, 1]], '
+                               '"1": [[0, 1, 1, 1], [0, 1, -1, 1]], '
+                               '"2": [[-3, 5, 4, 5], [3, 5, 4, 5]]}, '
+                               '"witness": {"circle": {"center": [0, 1, 0, 1], '
+                               '"radius2": [1, 1]}}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_CASES))
+@pytest.mark.parametrize("one", ["1", "true"])
+def test_json_booleans_are_not_integers(tmp_path, case, one, capsys):
+    # JSON true loads as the bool True, which Python counts as the int 1: an
+    # edge end, a rotation entry or a rep coordinate given as true passed as
+    # 1, so `embed` wrote the edge [0, true] back out, `embed --check`
+    # accepted the rotation and `verify` read the coordinate 1
+    name, text = BOOLEAN_CASES[case]
+    (tmp_path / name).write_text(text % one)
+    g = tmp_path / "g.json"
+    if case == "coordinate":
+        g.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        argv = ["verify", str(tmp_path / name), str(g), "--outer", "both-ends"]
+    else:
+        argv = ["embed", str(g), "--out", str(tmp_path / "e.json")]
+        argv += ["--check"] * (case == "rotation_entry")
+    mf = tmp_path / "m.json"
+    code = main(["--manifest", str(mf), *argv])
+    assert json.loads(mf.read_text())["exit_code"] == code == (2 if one == "true" else 0)
+    err = capsys.readouterr().err
+    assert ("malformed input" in err and "True is not an integer" in err) == (code == 2)
 
 
 @pytest.mark.parametrize("key", ["2", "-1", "02"])

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import os
@@ -205,26 +206,29 @@ def star_plane(k):
 
 
 def test_rung_skips_refuted_blocks(monkeypatch):
-    # K_{1,8} in one-end mode has 8 * 2^9 vectors. Its ladder: the hub with
-    # leaves 1..7, then all 9 vertices, both without apex edges, read only
-    # the hub's break, the most significant digit: a block of 512 indices
-    # per break. End-bit rung j = 4, 8, 9 adds apex edges for the vertices
-    # 9-j..8, whose end bits are the most significant, so it fixes blocks of
-    # 2^(9-j) indices. A scripted test per diagram, told apart by node count
-    # (a hubless crossing has 4 nodes, and only end-bit rungs have an apex)
-    # and by edge count, makes the first rung non-planar at the hub's breaks
-    # 2 and 5, end-bit rung 4 non-planar where the end bits of vertices 5..8
-    # read 5, the other rungs always planar and the gadget diagram never, so
-    # the scan covers all 4096 indices. Contracted, every rim of an end-bit
-    # rung is one node, as each leaf's curve has a dead arm: the hub's path
-    # keeps its 7 edges between rims, and a tipped leaf its edge to the
-    # picked end and that end's apex edge, so rung 4 has 7 + 2 * 4 edges
-    # (rung 8 has 23, rung 9 25)
+    # K_{1,8} in one-end mode has 8 * 2^9 vectors, whose digits are the
+    # hub's break, the leaves' breaks (each of radix 1), then the end bits
+    # of vertices 8, 7, ..., 0. Its ladder: the rungs of 8 and 9 digits,
+    # the hub with leaves 1..7, then all 9 vertices, both without apex
+    # edges, read only the hub's break, the most significant digit: a block
+    # of 512 indices per break. The rung of 9 + j digits, j = 4, 8, 9, adds
+    # apex edges for the vertices 9-j..8, whose end bits are the most
+    # significant, so it fixes blocks of 2^(9-j) indices. A scripted test
+    # per diagram, told apart by node count (a hubless crossing has 4 nodes,
+    # and only end-bit rungs have an apex) and by edge count, makes the
+    # first rung non-planar at the hub's breaks 2 and 5, the rung of 13
+    # digits non-planar where the end bits of vertices 5..8 read 5, the
+    # other rungs always planar and the gadget diagram never, so the scan
+    # covers all 4096 indices. Contracted, every rim of an end-bit rung is
+    # one node, as each leaf's curve has a dead arm: the hub's path keeps
+    # its 7 edges between rims, and a tipped leaf its edge to the picked end
+    # and that end's apex edge, so the rung of 13 digits has 7 + 2 * 4
+    # edges (that of 17 has 23, that of 18 25)
     pg = star_plane(8)
     rungs = oracle._Task(pg, ONE_END).rungs
-    assert [(r.keep, r.tips_from, r.span) for r in rungs] == (
-        [(list(range(8)), 9, 512)]
-        + [(list(range(9)), 9 - j, 512 >> j) for j in (0, 4, 8, 9)])
+    assert [(r.d, r.keep, sorted(r.tips), r.span) for r in rungs] == (
+        [(8, list(range(8)), [], 512)]
+        + [(9 + j, list(range(9)), list(range(9 - j, 9)), 512 >> j) for j in (0, 4, 8, 9)])
     prefix_nodes, rung_nodes = 2 * 8 + 4 * 7, 2 * 9 + 4 * 8
     gadget_nodes = 2 * 9 + 5 * 8 + 1
     scanned, gadget_at = [], []
@@ -249,9 +253,9 @@ def test_rung_skips_refuted_blocks(monkeypatch):
     v = enumerate_breaks(pg, ONE_END, chunk=1000)
     # a refutation at a block's first index resumes the scan at the next
     # block, clamped to the range's end: hub block 2 at 1024, and hub block
-    # 5 at 2560 and again, a memo hit, at the range start 3000; end-bit rung
-    # 4 skips the 31 indices after each start of its block, 160 into every
-    # hub block that the first rung leaves
+    # 5 at 2560 and again, a memo hit, at the range start 3000; the rung of
+    # 13 digits skips the 31 indices after each start of its block, 160 into
+    # every hub block that the first rung leaves
     skipped = {*range(1025, 1536), *range(2561, 3000), *range(3001, 3072)}
     skipped.update(i for b in (0, 1, 3, 4, 6, 7) for i in range(512 * b + 161, 512 * b + 192))
     assert scanned == [i for i in range(4096) if i not in skipped]
@@ -260,9 +264,9 @@ def test_rung_skips_refuted_blocks(monkeypatch):
     assert (v.status, v.tried, v.total) == ("no", 4096, 4096)
     # the memo tests the first rung 7 times, as breaks 0 and 7 both start at
     # leaf 1 when leaf 8 is not kept; per hub break that it leaves, the rung
-    # of all vertices is tested once, and end-bit rung j once per value of
-    # the top j end bits, 2^j, less for j > 4 the 2^(j-4) values under
-    # rung 4's refutation
+    # of 9 digits is tested once, and that of 9 + j digits once per value of
+    # the top j end bits, 2^j, less for j > 4 the 2^(j-4) values under the
+    # refutation of the rung of 13 digits
     per_break = 1 + sum(2 ** j - (2 ** (j - 4) if j > 4 else 0) for j in (4, 8, 9))
     assert v.counters == {"planarity_calls": 7 + 6 * per_break + len(gadget_at_want),
                           "shortcut_attempts": 6 * per_break, "shortcut_hits": 6,
@@ -292,32 +296,34 @@ def canonical_order(g):
 
 
 def ladder(pg, mode):
-    """The search's rungs as (sorted vertex set, least tipped vertex) pairs,
-    checked against their definition: the first 8, 16, 32, ... vertices in
-    canonical order (fewer than n), then all n, where they span an edge. In
-    one-end mode these tip no vertex (the least tipped one is n), and
-    end-bit rungs j = 4, 8, 16, ... (fewer than n), then n, of all n
-    vertices follow, which tip the vertices n-j..n-1. A rung's span is the
-    block of indices that its prefix's digits fix and, for end-bit rung j,
-    the top j end bits; a rung that tips no vertex is laid out as in base
-    mode, with no apex."""
+    """The search's rungs as (sorted vertex set, tipped vertices) pairs,
+    checked against their definition. An index's digits are the breaks in
+    canonical order, then in one-end mode the end bits of vertices n-1,
+    n-2, ..., 0, and the rung of d digits keeps the vertices among them and
+    tips those whose end bits are among them, or every kept vertex in
+    both-ends mode. The ladder has d = 8, 16, 32, ... (fewer than n), then
+    n, and in one-end mode n + j for j = 4, 8, 16, ... (fewer than n), then
+    n, where the kept vertices span an edge. A rung's span is the product
+    of the radices of the digits after its d; a rung that tips no vertex is
+    laid out as in base mode, with no apex."""
     g = pg.graph
     n = g.n
     order = canonical_order(g)
     task = oracle._Task(pg, mode)
-    t0 = n if mode == ONE_END else 0
     assert n <= 128
-    end_bit_rungs = [n - j for j in (4, 8, 16, 32, 64) if j < n] + [0]
-    want = ([(order[:k], t0) for k in (8, 16, 32, 64) if k < n]
-            + [(order, t) for t in [t0] + end_bit_rungs * (mode == ONE_END)])
-    want = [(sorted(keep), t) for keep, t in want
-            if any(u in keep and v in keep for u, v in g.edges)]
-    assert want == [(rung.keep, rung.tips_from) for rung in task.rungs]
-    for (keep, t), rung in zip(want, task.rungs):
-        end_bits = 1 << n - t if mode == ONE_END else 1
-        assert rung.span * math.prod(max(1, g.degree(v)) for v in keep) * end_bits == task.total
-        assert rung.diagram == oracle._Task(pg, None if t == n else mode).layout(keep, t)
-    return want
+    counts = [k for k in (8, 16, 32, 64) if k < n] + [n]
+    if mode == ONE_END:
+        counts += [n + j for j in (4, 8, 16, 32, 64) if j < n] + [2 * n]
+    rungs = [(d, sorted(order[:d]), list(range(2 * n - d, n)) if mode == ONE_END else order[:d])
+             for d in counts]
+    rungs = [(d, keep, sorted(tips)) for d, keep, tips in rungs
+             if any(u in keep and v in keep for u, v in g.edges)]
+    assert rungs == [(rung.d, rung.keep, sorted(rung.tips)) for rung in task.rungs]
+    for (d, keep, tips), rung in zip(rungs, task.rungs):
+        radices = [max(1, g.degree(v)) for v in order] + [2] * n * (mode == ONE_END)
+        assert rung.span == math.prod(radices[d:])
+        assert rung.diagram == oracle._Task(pg, mode if tips else None).layout(keep, tips)
+    return [(keep, tips) for _, keep, tips in rungs]
 
 
 def diagram(pg, breaks, ends, mode, gadgets, plain=False, tipped=None):
@@ -403,7 +409,7 @@ def entries(laid_out, keep, breaks, ends):
 
 def check_induced(pg, mode, rungs, vectors):
     """The hubless diagram that `_Task.layout` lays out for each (vertex
-    set, least tipped vertex) in `rungs`, for each (breaks, ends), is the
+    set, tipped vertices) in `rungs`, for each (breaks, ends), is the
     contraction of the diagram of the induced plane graph with the same
     port rule and apex edges for the same vertices, and refutes only
     vectors that the gadget diagram, checked against its definition,
@@ -411,10 +417,10 @@ def check_induced(pg, mode, rungs, vectors):
     task = oracle._Task(pg, mode)
     n, m = pg.graph.n, pg.graph.edge_count
     cases = []
-    for keep, t in rungs:
+    for keep, tips in rungs:
         keep = sorted(keep)
-        tipped = [i for i, v in enumerate(keep) if v >= t]  # numbered as in the induced graph
-        cases.append((keep, tipped, task.layout(keep, t)))
+        tipped = [i for i, v in enumerate(keep) if v in tips]  # numbered as in the induced graph
+        cases.append((keep, tipped, task.layout(keep, tips)))
     refuting = []
     for breaks, ends in vectors:
         gadget = same_contracted(task.gadget_edges(breaks, ends), n, m,
@@ -442,9 +448,9 @@ def random_vectors(pg, count, rng):
 def test_local_diagram_atlas(mode):
     # every proper prefix of the canonical order, which a prefix search
     # would test, and the ladder; a rung of fewer than n vertices needs
-    # n >= 9, so an atlas graph with an edge has the rung of all its
-    # vertices, and in one-end mode the end-bit rungs j = 4 (if n > 4), n
-    # after it
+    # n >= 9, so an atlas graph with an edge has the rung of n digits, all
+    # its vertices, and in one-end mode the rungs of n + 4 (if n > 4) and
+    # 2n digits after it
     rng = random.Random(4)
     isolated = refuted = 0
     for pg in atlas_plane_graphs(6):
@@ -455,7 +461,7 @@ def test_local_diagram_atlas(mode):
         vectors = random_vectors(pg, 12, rng)
         check_induced(pg, mode, rungs, vectors)
         keeps = [canonical_order(g)[:k] for k in range(1, g.n)]
-        refuting = check_induced(pg, mode, [(keep, 0) for keep in keeps], vectors)
+        refuting = check_induced(pg, mode, [(keep, keep) for keep in keeps], vectors)
         # the ladder leaves out a prefix with no edge: it never refutes
         spans = [any(u in keep and v in keep for u, v in g.edges) for keep in keeps]
         assert all(spans[k - 1] for sizes in refuting for k in sizes)
@@ -479,7 +485,7 @@ def test_layout_every_vertex_set(mode):
         # the hubless diagram with every apex edge and with those of a
         # random tail of the vertices
         for t in (0, rng.randrange(n + 1)):
-            check_induced(pg, mode, [(keep, t) for keep in keeps], vectors)
+            check_induced(pg, mode, [(keep, range(t, n)) for keep in keeps], vectors)
         sets += len(keeps)
     assert sets == 1223  # 51 graphs: 1 + 2 * 3 + 4 * 7 + 11 * 15 + 33 * 31
 
@@ -639,18 +645,23 @@ def test_enumerate_matches_brute_force_mixed_hits():
 
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
-def test_gadget_hubless_plain_chain(mode):
+def test_gadget_hubless_plain_chain(monkeypatch, mode):
     # every vector of the planar atlas graphs with n <= 5: the hubless
     # diagram is a minor of the gadget diagram and has the plain diagram as
     # a minor, so a planar gadget diagram has a planar hubless one, and a
     # planar hubless diagram a planar plain one; and decide_fixed, which
     # tests the contracted gadget diagram, is the definition, the planarity
-    # of the uncontracted one
+    # of the uncontracted one, with a ladder that raises if read, so no
+    # ladder changes it
+    def no_ladder(task):
+        raise AssertionError("decide_fixed read the ladder")
+
+    patch_ladder(monkeypatch, no_ladder)
     vectors = hubless_planar = 0
     for pg in atlas_plane_graphs(5):
         n = pg.graph.n
         task = oracle._Task(pg, mode)
-        hubless = task.layout(range(n))
+        hubless = task.layout(range(n), range(n))
         end_vectors = ([[(bits >> v) & 1 for v in range(n)] for bits in range(1 << n)]
                        if mode == ONE_END else [[0] * n])
         for breaks in itertools.product(*(range(d) for d in task.degrees)):
@@ -670,34 +681,36 @@ def test_gadget_hubless_plain_chain(mode):
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_gadget_is_last_rung_plus_hubs(mode):
     # the planar atlas graphs with n <= 5, every break vector with random
-    # end bits: the gadget diagram is the last rung's, all vertices with
-    # every apex edge, plus hub j after every other node, joined to the
-    # four nodes of each rim j that the rung keeps whole, so deleting the
-    # hubs leaves the rung; a graph with no edge has no rung and no rim. In
-    # both-ends mode that rung joins every curve end to the apex, so it
-    # merges no rim
+    # end bits: the gadget diagram is laid out on its own, as the hubless
+    # diagram of all vertices with every apex edge plus hub j after every
+    # other node, joined to the four nodes of each rim j that the hubless
+    # diagram keeps whole, so deleting the hubs leaves it. The top rung,
+    # that of every digit, is that hubless diagram; a graph with no edge has
+    # no rung and no rim. In both-ends mode the hubless diagram joins every
+    # curve end to the apex, so it merges no rim
     rng = random.Random(6)
     edgeless = whole = merged = 0
     for pg in atlas_plane_graphs(5):
         n, m = pg.graph.n, pg.graph.edge_count
         task = oracle._Task(pg, mode)
-        if not m:
-            edgeless += 1
-            assert not task.rungs and task.gadget == task.layout(range(n))
-            continue
-        rung = task.rungs[-1]
-        assert (rung.keep, rung.tips_from) == (list(range(n)), 0)
-        nodes, static, _, rows = rung.diagram
+        hubless = task.layout(range(n), range(n))
+        nodes, static, _, rows = hubless
         assert task.gadget[0] == nodes + m and task.gadget[1] == static
-        assert task.gadget[3] is rows
+        assert task.gadget[3] == rows
+        if m:
+            top = task.rungs[-1]
+            assert (top.d, top.keep, top.diagram) == (len(task.digits), list(range(n)), hubless)
+        else:
+            edgeless += 1
+            assert not task.rungs and task.gadget == hubless
         for breaks in itertools.product(*(range(d) for d in task.degrees)):
             ends = [rng.randrange(2) for _ in range(n)]
-            _, rung_edges = task.edges(rung.diagram, entries(rung.diagram, range(n), breaks, ends))
-            kept = [j for j in range(m) if (2 * n + 4 * j, 2 * n + 4 * j + 1) in rung_edges]
+            _, hubless_edges = task.edges(hubless, entries(hubless, range(n), breaks, ends))
+            kept = [j for j in range(m) if (2 * n + 4 * j, 2 * n + 4 * j + 1) in hubless_edges]
             spokes = [(nodes + j, 2 * n + 4 * j + i) for j in kept for i in range(4)]
             got_nodes, got_edges = task.gadget_edges(breaks, ends)
             assert got_nodes == nodes + m
-            assert sorted(got_edges) == sorted(rung_edges + spokes)
+            assert sorted(got_edges) == sorted(hubless_edges + spokes)
             whole += len(kept)
             merged += m - len(kept)
     assert edgeless == 5 and whole > 0 and (merged > 0) == (mode != BOTH_ENDS)
@@ -705,18 +718,19 @@ def test_gadget_is_last_rung_plus_hubs(mode):
 
 @pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
 def test_rung_reads_digits_from_index(mode):
-    # a rung reads its vertices' digits, and an end-bit rung its end bits,
-    # from the quotient of an index by its span: on random indices the row
-    # entries that each rung reads are those of the fully decoded vector,
-    # its vertices taken the least significant digit first
+    # the rung of d digits reads its vertices' breaks, and for d > n the
+    # end bits among its digits, from the quotient of an index by its span:
+    # on random indices the row entries that each rung reads are those of
+    # the fully decoded vector, its vertices taken the least significant
+    # digit first
     rng = random.Random(9)
     prefix = end_bit = 0
     thm2 = triple_stellation(random_planar_3tree(6, 1))
     for pg in (wheel(9), random_planar_3tree(10, 1), star_plane(8), thm2):
         task = oracle._Task(pg, mode)
         digits = canonical_order(pg.graph)[::-1]
-        prefix += sum(len(rung.keep) < task.n for rung in task.rungs)
-        end_bit += sum(rung.tips_from < task.n for rung in task.rungs) * (mode == ONE_END)
+        prefix += sum(rung.d < task.n for rung in task.rungs)
+        end_bit += sum(rung.d > task.n for rung in task.rungs)
         for _ in range(60):
             idx = rng.randrange(task.total)
             breaks, ends = task.decode(idx)
@@ -725,6 +739,50 @@ def test_rung_reads_digits_from_index(mode):
                 keep = [v for v in digits if v in rung.keep]
                 assert rung.read(idx) == tuple(entries(rung.diagram, keep, breaks, ends))
     assert prefix >= 4 and (end_bit > 0) == (mode == ONE_END)
+
+
+def patch_ladder(monkeypatch, ladder):
+    """Make `ladder(task)` the rungs of every new task."""
+    rungs = functools.cached_property(ladder)
+    rungs.__set_name__(oracle._Task, "rungs")
+    monkeypatch.setattr(oracle._Task, "rungs", rungs)
+
+
+@pytest.mark.parametrize("mode", [None, BOTH_ENDS, ONE_END])
+def test_ladder_changes_no_verdict(monkeypatch, mode):
+    # the rungs only refute what the gadget diagram refutes, and the gadget
+    # diagram is laid out without them: with the rungs that read end bits
+    # dropped, or with a rung at every digit count from 2 up, every vector
+    # of the planar atlas graphs with n <= 5 has the same gadget diagram,
+    # and each search the same verdict fields. decide_fixed reads no
+    # ladder at all (test_gadget_hubless_plain_chain)
+    graphs = atlas_plane_graphs(5)
+    want = []
+    for pg in graphs:
+        task = oracle._Task(pg, mode)
+        vectors = list(itertools.product(
+            itertools.product(*(range(d) for d in task.degrees)),
+            itertools.product((0, 1), repeat=task.n) if mode == ONE_END else [[0] * task.n]))
+        v = enumerate_breaks(pg, mode)
+        want.append((vectors, [task.gadget_edges(*vector) for vector in vectors],
+                     (v.status, v.witness, v.witness_ends, v.tried)))
+    rungs = oracle._Task.rungs.func
+    for ladder in (lambda task: [rung for rung in rungs(task) if rung.d <= task.n],
+                   lambda task: [oracle._Rung(task, d) for d in range(2, len(task.digits) + 1)]):
+        patch_ladder(monkeypatch, ladder)
+        for pg, (vectors, gadgets, verdict) in zip(graphs, want, strict=True):
+            task = oracle._Task(pg, mode)
+            assert [task.gadget_edges(*vector) for vector in vectors] == gadgets
+            v = enumerate_breaks(pg, mode)
+            assert (v.status, v.witness, v.witness_ends, v.tried) == verdict
+
+
+def test_gadget_builds_no_ladder():
+    # decide_fixed tests the gadget diagram, which is laid out on its own
+    for mode in (None, BOTH_ENDS, ONE_END):
+        task = oracle._Task(wheel(4), mode)
+        task.gadget_edges([0] * task.n, [1] * task.n)
+        assert "gadget" in vars(task) and "rungs" not in vars(task)
 
 
 def test_limit_past_the_space_decides():
