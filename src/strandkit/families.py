@@ -138,7 +138,7 @@ def random_maximal_outerplanar(n: int, seed: int = 0) -> PlaneGraph:
     if n < 3:
         raise TooSmall("maximal outer-planar graph needs n >= 3")
     rng = random.Random(seed)
-    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] if n > 2 else []
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     stack = [(0, n - 1)]
     while stack:
         i, j = stack.pop()
@@ -159,8 +159,18 @@ def random_maximal_outerplanar(n: int, seed: int = 0) -> PlaneGraph:
 
 
 def random_partial_2tree(n: int, density: float = 0.7, seed: int = 0) -> Graph:
-    """Random 2-tree minus a random connectivity-preserving edge subset;
-    density is the fraction of 2-tree edges kept (approximately)."""
+    """Random 2-tree minus random edges, kept connected: density is the
+    fraction of the 2-tree's 2n-3 edges kept, but never fewer than the n-1
+    of a spanning tree.
+
+    The shuffled edges c_0, c_1, ... are tried in turn: c_i is dropped,
+    while fewer than the target are gone, when the rest stays connected
+    without it (reverse-delete, Kruskal 1956). A kept edge was a bridge and
+    stays one, as edges only go, so it lies on no cycle of present edges:
+    the rest joins c_i's ends exactly when c_{i+1}, c_{i+2}, ... do. One
+    backward union-find pass marks these spare edges, and the first target
+    of them go.
+    """
     if n < 2:
         raise TooSmall("partial 2-tree needs n >= 2")
     if not 0 <= density <= 1:  # also rejects NaN
@@ -174,33 +184,19 @@ def random_partial_2tree(n: int, density: float = 0.7, seed: int = 0) -> Graph:
     target_remove = int(round((1.0 - density) * len(edges)))
     candidates = list(edges)
     rng.shuffle(candidates)
-    removed = 0
-    chosen = set(edges)
-    for e in candidates:
-        if removed >= target_remove:
-            break
-        chosen.discard(e)
-        if _connected(n, chosen):
-            removed += 1
-        else:
-            chosen.add(e)
-    return Graph(n, sorted(chosen))
+    parent = list(range(n))
 
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    cnt = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                cnt += 1
-                stack.append(w)
-    return cnt == n
+    spare = []  # last candidate first
+    for u, v in reversed(candidates):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            spare.append((u, v))
+        parent[ru] = rv
+    dropped = set(spare[::-1][:target_remove])
+    return Graph(n, sorted(set(edges) - dropped))

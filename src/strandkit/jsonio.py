@@ -71,8 +71,15 @@ def _pt_json(p) -> list[int]:
     return [p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator]
 
 
+def _ints(q, k: int, what: str) -> list[int]:
+    """q, which must be a JSON list of exactly k integers."""
+    if not isinstance(q, list) or len(q) != k:
+        raise ValueError(f"{what} {q!r} is not a list of {k} integers")
+    return [_int(x, f"{what} entry") for x in q]
+
+
 def _pt_parse(q) -> tuple[Fraction, Fraction]:
-    q = [_int(x, "coordinate") for x in q]
+    q = _ints(q, 4, "point")
     return (Fraction(q[0], q[1]), Fraction(q[2], q[3]))
 
 
@@ -112,7 +119,7 @@ def rep_from_json(data: dict) -> StringRep:
         raise ValueError("a witness must be null or have exactly one key, circle or polyline")
     if "circle" in w:
         c = w["circle"]
-        radius2 = Fraction(*(_int(x, "radius2") for x in c["radius2"]))
+        radius2 = Fraction(*_ints(c["radius2"], 2, "radius2"))
         return StringRep(curves, CircleWitness(_pt_parse(c["center"]), radius2))
     return StringRep(curves, PolylineWitness(tuple(_pt_parse(q) for q in w["polyline"])))
 

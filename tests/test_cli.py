@@ -406,6 +406,38 @@ def test_json_booleans_are_not_integers(tmp_path, case, one, capsys):
     assert ("malformed input" in err and "True is not an integer" in err) == (code == 2)
 
 
+# the rep of BOOLEAN_CASES' coordinate case, with %s for curve 0's first
+# point, the witness's center and its radius2
+SHAPED_REP = ('{"curves": {"0": [%s, [-1, 1, 0, 1]], "1": [[0, 1, 1, 1], [0, 1, -1, 1]], '
+              '"2": [[-3, 5, 4, 5], [3, 5, 4, 5]]}, '
+              '"witness": {"circle": {"center": %s, "radius2": %s}}}')
+SHAPES = {
+    "right": ("[1, 1, 0, 1]", "[0, 1, 0, 1]", "[1, 1]"),
+    "point_of_2": ("[1, 1]", "[0, 1, 0, 1]", "[1, 1]"),
+    "point_of_5": ("[1, 1, 0, 1, 7]", "[0, 1, 0, 1]", "[1, 1]"),
+    "center_of_2": ("[1, 1, 0, 1]", "[0, 1]", "[1, 1]"),
+    "center_of_5": ("[1, 1, 0, 1]", "[0, 1, 0, 1, 7]", "[1, 1]"),
+    "radius2_of_1": ("[1, 1, 0, 1]", "[0, 1, 0, 1]", "[1]"),
+    "radius2_of_3": ("[1, 1, 0, 1]", "[0, 1, 0, 1]", "[1, 1, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_rep_numbers_have_their_length(tmp_path, case, capsys):
+    # a point or center is four integers and a radius2 two: the first four
+    # entries of a longer point or center were read and the rest dropped,
+    # and a radius2 [1] was read as the integer 1
+    rep = tmp_path / "rep.json"
+    rep.write_text(SHAPED_REP % SHAPES[case])
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    mf = tmp_path / "m.json"
+    code = main(["--manifest", str(mf), "verify", str(rep), str(g), "--outer", "both-ends"])
+    assert json.loads(mf.read_text())["exit_code"] == code == (0 if case == "right" else 2)
+    err = capsys.readouterr().err
+    assert ("malformed input" in err and "is not a list of" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("key", ["2", "-1", "02"])
 def test_verify_order_with_rep_rotation(tmp_path, key, capsys):
     # the graph as an edge list, so the rotation comes from the rep JSON;

@@ -1,4 +1,8 @@
 import collections
+import importlib.util
+import random
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -135,3 +139,66 @@ def test_random_partial_2tree_recognized(seed):
     g = random_partial_2tree(20, 0.6, seed=seed)
     assert g.is_connected()
     assert two_tree_completion(g) is not None
+
+
+def greedy_partial_2tree(n, density, seed):
+    """The generator's first, quadratic form: try each shuffled edge in turn
+    and drop it when the graph stays connected without it, until the target
+    number of edges is gone."""
+    rng = random.Random(seed)
+    edges = [(0, 1)]
+    for v in range(2, n):
+        a, b = edges[rng.randrange(len(edges))]
+        edges += [(min(a, v), max(a, v)), (min(b, v), max(b, v))]
+    target = int(round((1.0 - density) * len(edges)))
+    candidates = list(edges)
+    rng.shuffle(candidates)
+    chosen = set(edges)
+    removed = 0
+    for e in candidates:
+        if removed >= target:
+            break
+        chosen.discard(e)
+        if Graph(n, sorted(chosen)).is_connected():
+            removed += 1
+        else:
+            chosen.add(e)
+    return tuple(sorted(chosen))
+
+
+def _corpus():
+    rng = random.Random(23)
+    cases = [(2, d, s) for d in (0, 0.5, 1) for s in range(3)]
+    for _ in range(300):
+        d = rng.choice([0, 1, 0.25, 0.4, 0.5, 0.6, 0.8, rng.random()])
+        cases.append((rng.randint(2, 60), d, rng.randrange(10**6)))
+    return cases
+
+
+def test_random_partial_2tree_matches_greedy():
+    for n, density, seed in _corpus():
+        assert random_partial_2tree(n, density, seed).edges == greedy_partial_2tree(
+            n, density, seed), (n, density, seed)
+
+
+def test_random_partial_2tree_matches_greedy_on_bench_graphs(monkeypatch):
+    # the sp graphs of setup_construct (n = 50..200) and setup_verify (n = 100, 200)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, w)  # for its dataclasses
+    spec.loader.exec_module(w)
+    d = w.SP_DENSITIES
+    args = [(n, d[i % 4], i) for i, n in enumerate(w.SP_SIZES)]
+    args += [(n, d[i % 4], 100 + i) for i, (n, _v) in enumerate(w.VERIFY_SP)]
+    for n, density, seed in args:
+        assert random_partial_2tree(n, density, seed).edges == greedy_partial_2tree(
+            n, density, seed), (n, density, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57])
+def test_random_partial_2tree_density_bounds(n):
+    # density 1 keeps the whole 2-tree, density 0 leaves a spanning tree
+    assert random_partial_2tree(n, 1.0, seed=n).edge_count == 2 * n - 3
+    tree = random_partial_2tree(n, 0.0, seed=n)
+    assert tree.edge_count == n - 1 and tree.is_connected()
