@@ -200,7 +200,7 @@ def _build(run: _Run, kind: str, g: Graph, trace: bool = False, frame: str = "or
         b = build_sp(g)
         rep = b.rep
     run.manifest["timings_ms"]["build"] = int((time.perf_counter() - t0) * 1000)
-    ok, reports = _verify_all(rep, g, b.plane, None if kind == "sp" else BOTH_ENDS)
+    ok, reports = _verify_all(rep, g, b.plane, BOTH_ENDS if rep.witness is not None else None)
     return b, rep, ok, reports
 
 

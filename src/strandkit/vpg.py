@@ -19,8 +19,8 @@ shortens the owner curves and reroutes S with a slit detour (the only case
 that edits S). S stays axis-parallel, so the detour finds its span on S by
 coordinate equality.
 
-The compaction maps the contour on integers over a common denominator; see
-`compact_grid`.
+The compaction maps curve points and the contour on integers over one common
+denominator; see `compact_grid`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .geom import (
     Curve,
     PolylineWitness,
     StringRep,
-    _orient_h,
     check_partial,
     map_rep,
     segment_intersection,
@@ -322,43 +321,43 @@ def compact_grid(rep: StringRep) -> tuple[StringRep, tuple[int, int]]:
     its image stays piecewise linear. All incidence and crossing structure is
     preserved (the map is a plane homeomorphism).
 
-    Curve points are grid values, looked up by value. The witness is mapped
-    on integers: every coordinate is scaled by the common denominator of all
-    the input's coordinates, and a segment's cuts on x-lines and y-lines are
-    ordered by integer parameters over one denominator, so a point on both
-    lines is one cut. Collinear points are dropped on the same integers
-    before one `Fraction` is built per output coordinate. The map does not
-    keep a circle a circle, so a circle witness with curves is rejected."""
+    The map runs on integers: every curve and witness coordinate is scaled
+    by the common denominator of all of them, and every point, curve points
+    included, goes through `_axis_image`. A witness segment's cuts on x-lines
+    and y-lines are ordered by integer parameters over one denominator, so a
+    point on both lines is one cut. One `Fraction` is built per output
+    coordinate. The map does not keep a circle a circle, so a circle witness
+    with curves is rejected."""
     if not rep.curves:
         return rep, (0, 0)
-    if isinstance(rep.witness, CircleWitness):
+    wit = rep.witness
+    if isinstance(wit, CircleWitness):
         raise ValueError("cannot compact a circle witness")
+    wpts = wit.points if isinstance(wit, PolylineWitness) else ()
     xs = sorted({p[0] for c in rep.curves.values() for p in c.points})
     ys = sorted({p[1] for c in rep.curves.values() for p in c.points})
-    grid = [F(i) for i in range(max(len(xs), len(ys)))]
-    ix = {x: grid[i] for i, x in enumerate(xs)}
-    iy = {y: grid[i] for i, y in enumerate(ys)}
+    den = math.lcm(*{v.denominator for v in (*xs, *ys, *(c for p in wpts for c in p))})
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    X, Y = [scaled(x) for x in xs], [scaled(y) for y in ys]
+
+    def image(x: int, y: int, e: int = 1) -> Pt:
+        return F(*_axis_image(X, x, e, den)), F(*_axis_image(Y, y, e, den))
+
     curves = {
-        v: Curve(v, tuple((ix[p[0]], iy[p[1]]) for p in c.points)) for v, c in rep.curves.items()
+        v: Curve(v, tuple(image(scaled(x), scaled(y)) for x, y in c.points))
+        for v, c in rep.curves.items()
     }
-    wit = rep.witness
     if isinstance(wit, PolylineWitness):
-        den = math.lcm(*{v.denominator for v in (*xs, *ys, *(c for p in wit.points for c in p))})
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (den // v.denominator)
-
-        X, Y = [scaled(x) for x in xs], [scaled(y) for y in ys]
-        pts = [(scaled(x), scaled(y)) for x, y in wit.points]
-        images: list[tuple[int, int, int, int]] = []
+        pts = [(scaled(x), scaled(y)) for x, y in wpts]
+        out: list[Pt] = []
         for i, p in enumerate(pts):
-            images.append((*_axis_image(X, p[0], 1, den), *_axis_image(Y, p[1], 1, den)))
-            _cut_images(X, Y, den, p, pts[(i + 1) % len(pts)], images)
-        wit = PolylineWitness(
-            tuple((F(xn, xd), F(yn, yd)) for xn, xd, yn, yd in _simplify_closed(images))
-        )
-    out = StringRep(curves, wit)
-    return out, grid_size(out)
+            out.append(image(*p))
+            _cut_images(X, Y, p, pts[(i + 1) % len(pts)], image, out)
+        wit = PolylineWitness(tuple(out))
+    return StringRep(curves, wit), (len(xs) - 1, len(ys) - 1)
 
 
 def _axis_image(V: list[int], num: int, e: int, den: int) -> tuple[int, int]:
@@ -376,12 +375,13 @@ def _axis_image(V: list[int], num: int, e: int, den: int) -> tuple[int, int]:
     return lo * w + num - V[lo] * e, w
 
 
-def _cut_images(X, Y, den, p, q, out) -> None:
+def _cut_images(X, Y, p, q, image, out) -> None:
     """Append the images of the points where the segment p->q (scaled
     integers) meets grid lines, from p to q, both ends excluded. With the
     reduced direction (rx, ry) and m = |rx|*|ry| (zeros read as 1), the point
     at key k is p + k*(rx, ry)/m: an x-line v has key |v - px|*|ry|, a
-    y-line |v - py|*|rx|, and one key for both lines is one point."""
+    y-line |v - py|*|rx|, and one key for both lines is one point. `image`
+    maps the point (x/m, y/m) given as (x, y, m)."""
     (px, py), (qx, qy) = p, q
     g = math.gcd(qx - px, qy - py) or 1
     rx, ry = (qx - px) // g, (qy - py) // g
@@ -391,18 +391,7 @@ def _cut_images(X, Y, den, p, q, out) -> None:
         lo, hi = (a, b) if a < b else (b, a)
         keys.update(abs(v - a) * scale for v in V[bisect_right(V, lo) : bisect_left(V, hi)])
     m = ax * ay
-    for k in sorted(keys):
-        x, y = px * m + k * rx, py * m + k * ry
-        out.append((*_axis_image(X, x, m, den), *_axis_image(Y, y, m, den)))
-
-
-def _simplify_closed(pts: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
-    """Drop interior points of straight runs (the polyline set is unchanged).
-    A point is (x_num, x_den, y_num, y_den) with positive denominators."""
-    h = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in pts]
-    n = len(pts)
-    out = [pts[i] for i in range(n) if _orient_h(h[i - 1], h[i], h[(i + 1) % n]) != 0]
-    return out if len(out) >= 3 else pts
+    out.extend(image(px * m + k * rx, py * m + k * ry, m) for k in sorted(keys))
 
 
 def grid_size(rep: StringRep) -> tuple[int, int]:

@@ -55,16 +55,6 @@ def _ref_piecewise(vals):
     return f
 
 
-def _ref_simplify_closed(pts):
-    n = len(pts)
-    out = []
-    for i in range(n):
-        a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-        if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
-            out.append(b)
-    return out if len(out) >= 3 else pts
-
-
 def _ref_compact_grid(rep):
     xs = sorted({p[0] for c in rep.curves.values() for p in c.points})
     ys = sorted({p[1] for c in rep.curves.values() for p in c.points})
@@ -88,7 +78,7 @@ def _ref_compact_grid(rep):
                     cuts.add((val - p[k]) / (q[k] - p[k]))
             for t in sorted(cuts):
                 new_pts.append(fpt((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))))
-        wit = PolylineWitness(tuple(_ref_simplify_closed(new_pts)))
+        wit = PolylineWitness(tuple(new_pts))
     out = StringRep(curves, wit)
     return out, grid_size(out)
 
@@ -159,6 +149,18 @@ def test_compact_grid_without_curves():
                 CircleWitness(pt(0, 0), F(1))):
         rep = StringRep({}, wit)
         assert compact_grid(rep) == (rep, (0, 0))
+
+
+def test_compact_grid_without_witness():
+    rep = StringRep(
+        {0: Curve(0, (pt(-3, F(1, 2)), pt(7, F(1, 2)))), 1: Curve(1, (pt(F(5, 3), -2), pt(F(5, 3), 9)))},
+        None,
+    )
+    out, grid = compact_grid(rep)
+    assert out.witness is None
+    assert out.curves[0].points == ((0, 1), (2, 1))
+    assert out.curves[1].points == ((1, 0), (1, 2))
+    assert grid == grid_size(out) == (2, 2)
 
 
 def test_compact_grid_rejects_circle_witness():
