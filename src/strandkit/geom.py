@@ -2,24 +2,27 @@
 
 All predicates run on exact rationals (fractions.Fraction); the pairwise
 segment tests use integer homogeneous coordinates so that no floating point
-can ever misclassify a crossing. Floats appear only as a conservative
-bounding-box prefilter, taken after a power-of-two rescaling so that no
-coordinate overflows a float.
+can ever misclassify a crossing. Floats appear only as a bounding-box
+prefilter: correctly rounded, hence monotone, so that boxes that meet exactly
+meet as floats too, and divided by a power of two where a coordinate would
+overflow a float.
 
 `crossing_profile` and the polyline-witness index of `verify_outer_string`
 bucket segment boxes on the same kind of grid: about as many cells as
-segments, laid over the segments' own bounding box, so the cost scales with
-the input and not with its coordinates. The profile takes its candidate
-segment pairs from one grid over all curves. A crossing interior to both
-segments is proper by itself and is placed on both curves from the four
-orientation determinants alone; every other meeting is placed where the scan
-finds it and checked for alternation.
+segments, with cells that follow the ranks of the box coordinates, so the
+cost depends neither on the coordinates' scale nor on where they cluster.
+The profile takes its candidate segment pairs from one grid over all curves,
+its self-intersections included. A crossing interior to both segments is
+proper by itself and is placed on both curves from the four orientation
+determinants alone; every other meeting is placed where the scan finds it
+and checked for alternation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -236,18 +239,6 @@ def _fail(kind: str, **kw) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _curve_self_check(c: Curve) -> None:
-    segs = c.segments
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            r = segment_intersection(segs[i], segs[j])
-            if r is None:
-                continue
-            if j == i + 1 and not isinstance(r, SegmentOverlap) and r == c.points[i + 1]:
-                continue
-            raise InvalidCurve(f"curve {c.vertex} self-intersects near {r}")
-
-
 def _shift(points: Iterable[Point]) -> int:
     """An exponent e such that every coordinate of `points`, divided by 2**e,
     lies well inside float range, so that the prefilter never overflows."""
@@ -260,28 +251,28 @@ def _flt(x: Fraction, shift: int) -> float:
 
 
 def _fbox(a: Point, b: Point, shift: int) -> tuple[float, float, float, float]:
-    """Float bounding box of segment ab divided by 2**shift, padded beyond
-    float rounding error: a reject-only prefilter."""
+    """Float bounding box of segment ab divided by 2**shift: a reject-only
+    prefilter. `_flt` divides two ints with correct rounding, which is
+    monotone, so boxes that meet exactly still meet as floats."""
     x0, x1 = sorted((_flt(a[0], shift), _flt(b[0], shift)))
     y0, y1 = sorted((_flt(a[1], shift), _flt(b[1], shift)))
-    pad = 1e-9 + 1e-12 * max(abs(x0), abs(x1), abs(y0), abs(y1))
-    return x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    return x0, x1, y0, y1
 
 
 class _Grid:
-    """Boxes bucketed on a grid of about as many cells as boxes, laid over
-    the boxes' own bounding box, so the cost stays the same when the input is
-    scaled or translated. Buckets only prefilter; every geometric decision
-    stays exact."""
+    """Boxes bucketed on a grid of about as many cells as boxes. The columns
+    split the sorted distinct x coordinates of the boxes into runs of equal
+    length, and the rows the y coordinates, so the cost stays the same however
+    the input is scaled, translated or clustered. Buckets only prefilter;
+    every geometric decision stays exact."""
 
     def __init__(self, boxes: list[tuple[float, float, float, float]]):
         self.boxes = boxes
-        self.last = math.isqrt(len(boxes))  # k = last + 1 cells per side
-        # the box padding keeps both sides of the bounding box positive
-        self.x0 = min((box[0] for box in boxes), default=0.0)
-        self.y0 = min((box[2] for box in boxes), default=0.0)
-        self.dx = (max((box[1] for box in boxes), default=0.0) - self.x0) / (self.last + 1)
-        self.dy = (max((box[3] for box in boxes), default=0.0) - self.y0) / (self.last + 1)
+        k = math.isqrt(len(boxes)) + 1  # about k cells per side
+        self.xs = sorted({x for box in boxes for x in box[:2]})
+        self.ys = sorted({y for box in boxes for y in box[2:]})
+        # distinct coordinates per column and per row
+        self.run = (len(self.xs) // k or 1, len(self.ys) // k or 1)
         self.cells: dict[tuple[int, int], list[int]] = {}
         self.corner: list[tuple[int, int]] = []  # the lower-left cell of each box
         for i, box in enumerate(boxes):
@@ -291,10 +282,11 @@ class _Grid:
                 self.cells.setdefault(cell, []).append(i)
 
     def _cells(self, x0: float, x1: float, y0: float, y1: float) -> list[tuple[int, int]]:
-        """The grid cells that a box meets, lower-left first; the edge cells
-        extend outwards."""
-        ix = [int(min(max((x - self.x0) / self.dx, 0), self.last)) for x in (x0, x1)]
-        iy = [int(min(max((y - self.y0) / self.dy, 0), self.last)) for y in (y0, y1)]
+        """The grid cells that a box meets, lower-left first. A value's column
+        is its rank among `xs` divided by the run length, and its row likewise:
+        monotone in the value, so boxes that meet share a cell."""
+        ix = [bisect_left(self.xs, x) // self.run[0] for x in (x0, x1)]
+        iy = [bisect_left(self.ys, y) // self.run[1] for y in (y0, y1)]
         return [(i, j) for i in range(ix[0], ix[1] + 1) for j in range(iy[0], iy[1] + 1)]
 
     def pairs(self):
@@ -371,11 +363,10 @@ def crossing_profile(rep: StringRep) -> CrossingProfile:
     one branch of one curve lies inside the sweep between the two branches of
     the other. Raises on anything that violates the representation model:
     touching points, overlaps, endpoints resting on curves, three curves
-    through one point, self-intersecting curves.
+    through one point, self-intersecting curves. A curve's self-meetings
+    come from the same scan as its crossings with other curves.
     """
     curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
-    for c in curves:
-        _curve_self_check(c)
     # (curve index, segment index, a, b, homogeneous a, homogeneous b)
     segs = []
     for i, c in enumerate(curves):
@@ -387,10 +378,15 @@ def crossing_profile(rep: StringRep) -> CrossingProfile:
     # (i, j, k, l, point, position on curve i, position on curve j, needs checks)
     found = []
     overlaps = []
+    selfs = []  # (curve index, k, l, meeting) of two segments k < l of one curve
     for s, t in grid.pairs():
         i, k, a, b, h1, h2 = segs[s]
         j, l, c_, d_, h3, h4 = segs[t]
         if i == j:
+            r = segment_intersection((a, b), (c_, d_))
+            # consecutive segments may share their bend and nothing more
+            if r is not None and (l > k + 1 or isinstance(r, SegmentOverlap) or r != b):
+                selfs.append((i, k, l, r))
             continue
         d1, d2, d3, d4 = _dets(h1, h2, h3, h4)
         if d1 and d2 and d3 and d4:
@@ -408,6 +404,9 @@ def crossing_profile(rep: StringRep) -> CrossingProfile:
             overlaps.append((i, j))
         elif r is not None:
             found.append((i, j, k, l, r, _position(k, a, b, r), _position(l, c_, d_, r), True))
+    if selfs:
+        i, _k, _l, r = min(selfs, key=lambda hit: hit[:3])
+        raise InvalidCurve(f"curve {curves[i].vertex} self-intersects near {r}")
     if overlaps:
         i, j = min(overlaps)
         raise CurveOverlap(f"curves {curves[i].vertex} and {curves[j].vertex} overlap on a segment")

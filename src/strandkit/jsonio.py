@@ -14,6 +14,10 @@ from fractions import Fraction
 from .geom import CircleWitness, Curve, PolylineWitness, StringRep
 from .graphs import Graph, RotationScheme
 
+# the most vertices a graph read from JSON or an edge list may have: a
+# Graph allocates its adjacency before it reads an edge
+MAX_N = 10**6
+
 
 def graph_to_json(g: Graph, rot: RotationScheme | None = None) -> dict:
     out: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
@@ -30,9 +34,15 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _graph(n: int, edges) -> Graph:
+    if n > MAX_N:
+        raise ValueError(f"a graph of {n} vertices exceeds the bound of {MAX_N}")
+    return Graph(n, edges)
+
+
 def graph_from_json(data: dict) -> tuple[Graph, RotationScheme | None]:
-    g = Graph(_int(data["n"], "n"),
-              [tuple(_int(x, "edge end") for x in e) for e in data["edges"]])
+    g = _graph(_int(data["n"], "n"),
+               [tuple(_int(x, "edge end") for x in e) for e in data["edges"]])
     rot = rotation_from_json(data, g.n)
     if rot is not None:
         rot.validate(g)
@@ -64,7 +74,7 @@ def graph_from_edge_text(text: str) -> Graph:
         u, v = line.split()
         edges.append((int(u), int(v)))
         mx = max(mx, int(u), int(v))
-    return Graph(mx + 1, edges)
+    return _graph(mx + 1, edges)
 
 
 def _pt_json(p) -> list[int]:

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -213,6 +215,35 @@ def test_unreadable_input_exit_code(tmp_path, case, capsys):
     assert main(["--manifest", str(mf), "build", "circle", str(path)]) == 2
     assert json.loads(mf.read_text())["exit_code"] == 2
     assert "error: " in capsys.readouterr().err
+
+
+HUGE_GRAPH = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+from strandkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name, text", [
+    ("g.json", '{"n": %d, "edges": [[0, 1]]}' % 10**40),
+    ("g.txt", "0 1\n1 %d\n" % 10**20),
+], ids=["json", "edge-list"])
+def test_huge_graph_exit_code(tmp_path, name, text):
+    """A vertex count beyond jsonio.MAX_N is refused before a graph is
+    allocated: under a 400 MB address-space cap the run ends with exit 2, a
+    message and a manifest, not a MemoryError."""
+    path = tmp_path / name
+    path.write_text(text)
+    mf = tmp_path / "m.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", HUGE_GRAPH, "--manifest", str(mf),
+                          "embed", str(path)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "malformed input" in out.stderr and "exceeds the bound of 1000000" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(mf.read_text())["exit_code"] == 2
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):

@@ -18,7 +18,7 @@ from strandkit.errors import (
     TouchingPoint,
     TripleIntersection,
 )
-from strandkit.families import random_maximal_outerplanar
+from strandkit.families import random_maximal_outerplanar, random_partial_2tree
 from strandkit.geom import (
     BOTH_ENDS,
     ONE_END,
@@ -38,6 +38,7 @@ from strandkit.geom import (
     verify_outer_string,
 )
 from strandkit.graphs import Graph, PlaneGraph, RotationScheme
+from strandkit.sp import build_sp
 from strandkit.vpg import build_vpg
 
 
@@ -379,7 +380,14 @@ def all_pairs_profile(rep):
     and checked where the scan finds it, with no prefilter."""
     curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
     for c in curves:
-        geom._curve_self_check(c)
+        segs = c.segments
+        for k, l in itertools.combinations(range(len(segs)), 2):
+            r = segment_intersection(segs[k], segs[l])
+            if r is None:
+                continue
+            if l == k + 1 and not isinstance(r, SegmentOverlap) and r == c.points[l]:
+                continue
+            raise InvalidCurve(f"curve {c.vertex} self-intersects near {r}")
     pair_hits, point_curves = {}, {}
     for ci, cj in itertools.combinations(curves, 2):
         hits = {}
@@ -460,6 +468,23 @@ def test_profile_matches_all_pairs_reference_random():
                     TripleIntersection}
 
 
+def test_profile_matches_all_pairs_reference_random_moved():
+    """Every 4th rep of the corpus above, scaled by an integer in [2, 1000]
+    and translated by up to 10^6 on each axis."""
+    rng, move = random.Random(20240917), random.Random(4)
+    seen = set()
+    for i in range(3200):
+        rep = random_rep(rng)
+        if i % 4:
+            continue
+        s = move.randint(2, 1000)
+        tx, ty = (F(move.randint(-10**6, 10**6), move.randint(1, 3)) for _ in range(2))
+        got = assert_matches_reference(_moved(rep, s, tx, ty))
+        seen.add(got[0] if isinstance(got[0], type) else "ok")
+    assert seen == {"ok", InvalidCurve, CurveOverlap, EndpointOnCurve, TouchingPoint,
+                    TripleIntersection}
+
+
 def test_profile_many_crossings_on_one_segment():
     rng = random.Random(3)
     xs = [k + F(1, k + 2) for k in range(40)]
@@ -475,29 +500,88 @@ def test_profile_many_crossings_on_one_segment():
 
 
 def test_profile_crossing_on_grid_cell_boundary():
-    """Two curves crossing on a vertex of the bucketing grid, and two
+    """Two curves crossing on a corner of the bucketing grid's cells, and two
     diagonals whose boxes start on another one."""
-    frame = {0: (pt(0, 0), pt(1, 0)), 1: (pt(7, 8), pt(8, 8))}  # fixes the grid's extent
+    # every integer in -1..8 on both axes, so that the grid's columns and rows
+    # stay put when the other curves move between these coordinates
+    frame = {0: tuple(pt(x, -1) for x in range(9)), 1: tuple(pt(-1, y) for y in range(9))}
 
     def rep_with(x, y, x2, y2):
         curves = dict(frame)
-        curves[2] = ((x, F(2)), (x, F(6)))
-        curves[3] = ((F(1), y), (F(7), y))
+        curves[2] = ((x, y - 1), (x, y + 1))
+        curves[3] = ((x - 1, y), (x + 1, y))
         curves[4] = ((x2, y2), (x2 + 2, y2 + 2))
         curves[5] = ((x2 + 2, y2), (x2, y2 + 2))
         return StringRep({v: Curve(v, pts) for v, pts in curves.items()})
 
     def grid_lines(rep):
+        """The first coordinate of each column and each row but the first."""
         segs = [s for c in rep.curves.values() for s in c.segments]
         g = geom._Grid([geom._fbox(a, b, 0) for a, b in segs])
-        return [F(g.x0 + g.dx * 2), F(g.y0 + g.dy), F(g.x0 + g.dx), F(g.y0 + g.dy * 2)]
+        cells = {v: g._cells(v, v, v, v)[0] for v in g.xs + g.ys}
+        xs = [F(v) for u, v in zip(g.xs, g.xs[1:]) if cells[u][0] != cells[v][0]]
+        ys = [F(v) for u, v in zip(g.ys, g.ys[1:]) if cells[u][1] != cells[v][1]]
+        return xs, ys
 
-    lines = grid_lines(rep_with(F(5), F(3), F(2), F(5)))
+    xs, ys = grid_lines(rep_with(F(5), F(3), F(2), F(5)))
+    assert len(xs) >= 2 and len(ys) >= 2
+    lines = [xs[1], ys[0], xs[0], ys[1]]
     rep = rep_with(*lines)
-    assert grid_lines(rep) == lines
+    assert grid_lines(rep) == (xs, ys)
     counts, _seqs, points = assert_matches_reference(rep)
     assert counts == {(2, 3): 1, (4, 5): 1}
     assert points[(2, 3)] == (tuple(lines[:2]),)
+
+
+def _zigzag(n):
+    """The points of a curve of n segments up and down between y = 0 and 1."""
+    return [pt(i, i % 2) for i in range(n + 1)]
+
+
+def test_profile_of_long_curve_is_near_linear():
+    """One 20,000-segment curve crossed once by another: every segment pair
+    of the long curve is a candidate in an all-pairs self-check."""
+    rep = StringRep({0: Curve(0, tuple(_zigzag(20000))),
+                     1: Curve(1, (pt(F(1, 2), -1), pt(F(1, 2), 2)))})
+    t0 = time.perf_counter()
+    prof = crossing_profile(rep)
+    assert time.perf_counter() - t0 < 5
+    assert prof.pair_counts == {(0, 1): 1}
+    assert prof.points[(0, 1)] == ((F(1, 2), F(1, 2)),)
+
+
+@pytest.mark.parametrize("n", [300, 20000])
+def test_long_curve_folded_back_self_intersects(n):
+    """A zigzag of n segments, then one above it whose last segment runs
+    back across all of it: the error names the second curve's meeting with
+    its first segment, as the all-pairs reference does on the short curves,
+    and comes within seconds on the long ones."""
+    folded = _zigzag(n) + [pt(n + 1, 2), pt(n + 1, F(1, 2)), pt(-1, F(1, 2))]
+    rep = StringRep({0: Curve(0, tuple(_zigzag(n))),
+                     1: Curve(1, tuple((x, y + 10) for x, y in folded))})
+    want = (InvalidCurve, f"curve 1 self-intersects near {(F(1, 2), F(21, 2))}")
+    if n <= 300:
+        assert outcome(all_pairs_profile, rep) == want
+    t0 = time.perf_counter()
+    assert outcome(crossing_profile, rep) == want
+    assert time.perf_counter() - t0 < 5
+
+
+def _profile_grid(rep):
+    """The grid that `crossing_profile` buckets the segments of rep on."""
+    curves = sorted(rep.curves.values(), key=lambda c: c.vertex)
+    shift = geom._shift(p for c in curves for p in c.points)
+    return geom._Grid([geom._fbox(a, b, shift) for c in curves for a, b in c.segments])
+
+
+def test_profile_grid_cells_stay_small_on_clustered_coordinates():
+    """The constructors' coordinates cluster; cells that follow coordinate
+    ranks still hold few boxes each."""
+    reps = [build_sp(random_partial_2tree(500, 0.7, 1)).rep,
+            chord_to_geometry(build_circle(random_maximal_outerplanar(500, 1).graph).diagram)]
+    for rep in reps:
+        g = _profile_grid(rep)
+        assert max(len(members) for members in g.cells.values()) <= len(g.boxes) // 10
 
 
 @pytest.mark.parametrize("ys, want", [
