@@ -114,9 +114,9 @@ class _Run:
 def _plane_for(run: _Run, g: Graph, rot: RotationScheme | None) -> PlaneGraph:
     if rot is not None:
         return PlaneGraph(g, rot)
-    ok, orot, _ofi = (False, None, None)
+    ok, orot, _outer = (False, None, None)
     try:
-        ok, orot, _ofi = is_outerplanar(g)
+        ok, orot, _outer = is_outerplanar(g)
     except StrandkitError:
         ok = False
     if ok:

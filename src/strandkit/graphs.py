@@ -10,6 +10,13 @@ edges (u,v) have u as the counterclockwise outer neighbor of v.
 2-connectivity is read off that outer walk: a connected outer-plane graph
 with n >= 2 is 2-connected (K_2 included) iff the walk has exactly n edges,
 i.e. it visits every vertex once. A longer walk repeats a cut vertex.
+
+Each fact is kept once: a Graph holds its adjacency tuples and its set of
+normalized edges, a RotationScheme its cyclic orders only. The front end of
+the ear inductions, `is_outerplanar`, `biconnect_outerplanar` and
+`ear_decomposition`, hands the outer face from one call to the next as the
+walk itself, not as an index that the next call would walk every face again
+to look up.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from . import planarity
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_adj_sets", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_edge_set")
 
     def __init__(self, n: int, edges: list[tuple[int, int]] | tuple = ()):
         if n < 1:
@@ -52,8 +59,8 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
-        self._adj_sets = tuple(frozenset(a) for a in adj)
         self._edges = tuple(norm)
+        self._edge_set = seen
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -67,7 +74,7 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return ((u, v) if u < v else (v, u)) in self._edge_set
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -89,11 +96,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and set(self._edges) == set(other._edges)
+            and self._edge_set == other._edge_set
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._edges)))
+        return hash((self.n, frozenset(self._edge_set)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -102,11 +109,10 @@ class Graph:
 class RotationScheme:
     """Clockwise cyclic neighbor order at every vertex."""
 
-    __slots__ = ("order", "_pos")
+    __slots__ = ("order",)
 
     def __init__(self, order):
         self.order = tuple(tuple(r) for r in order)
-        self._pos = tuple({u: i for i, u in enumerate(r)} for r in self.order)
 
     def validate(self, g: Graph) -> None:
         if len(self.order) != g.n:
@@ -116,9 +122,6 @@ class RotationScheme:
                 raise InconsistentRotation(
                     f"order[{v}] is not a permutation of the neighbors of {v}"
                 )
-
-    def position(self, v: int, u: int) -> int:
-        return self._pos[v][u]
 
     def __repr__(self) -> str:
         return f"RotationScheme({list(map(list, self.order))})"
@@ -132,23 +135,23 @@ class PlaneGraph:
 
 def faces(g: Graph, rot: RotationScheme) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All faces of the rotation scheme by next-edge traversal, each the
-    cyclic tuple of its directed edges."""
+    cyclic tuple of its directed edges.
+
+    One map sends (v, u) to the successor of u in rot[v], so the edge after
+    (u, v) is (v, succ[v, u]); the walk pops each entry it reads, and a
+    directed edge (u, v) is walked once its entry (v, u) is gone."""
     rot.validate(g)
+    succ = {(v, u): w for v, r in enumerate(rot.order) for u, w in zip(r, r[1:] + r[:1])}
     out: list[tuple[tuple[int, int], ...]] = []
-    seen: set[tuple[int, int]] = set()
-    order = rot.order
     for a, b in g.edges:
         for start in ((a, b), (b, a)):
-            if start in seen:
+            if start[::-1] not in succ:
                 continue
             face = []
             cu, cv = start
             while True:
                 face.append((cu, cv))
-                seen.add((cu, cv))
-                r = order[cv]
-                nxt = r[(rot.position(cv, cu) + 1) % len(r)]
-                cu, cv = cv, nxt
+                cu, cv = cv, succ.pop((cv, cu))
                 if (cu, cv) == start:
                     break
             out.append(tuple(face))
@@ -171,11 +174,11 @@ def is_planar(g: Graph) -> tuple[bool, RotationScheme | None]:
     return True, RotationScheme(rot)
 
 
-def is_outerplanar(g: Graph) -> tuple[bool, RotationScheme | None, int | None]:
+def is_outerplanar(g: Graph) -> tuple[bool, RotationScheme | None, tuple | None]:
     """Apex test: g is outer-planar iff g plus a universal vertex is planar.
 
-    On YES returns an outer-plane rotation of g and the index of the face
-    holding every vertex.
+    On YES returns an outer-plane rotation of g and the outer face: the walk
+    of `faces(g, rot)` that holds every vertex (None when g has no edge).
     """
     if not g.is_connected():
         raise GraphNotConnected("is_outerplanar expects a connected graph")
@@ -187,35 +190,32 @@ def is_outerplanar(g: Graph) -> tuple[bool, RotationScheme | None, int | None]:
     if rot_full is None:
         return False, None, None
     rot = RotationScheme([[w for w in rot_full[v] if w != n] for v in range(n)])
-    for i, f in enumerate(faces(g, rot)):
+    for f in faces(g, rot):
         if len({u for u, _v in f}) == n:
-            return True, rot, i
+            return True, rot, f
     raise AssertionError("apex embedding lost the outer face")
 
 
-def biconnect_outerplanar(
-    g: Graph, rot: RotationScheme | None, outer_face_index: int | None
-) -> Graph:
+def biconnect_outerplanar(g: Graph, rot: RotationScheme | None, outer: tuple | None) -> Graph:
     """2-connected outer-planar supergraph containing g as an INDUCED subgraph
     on the same vertex ids 0..g.n-1; g itself when it is 2-connected.
 
-    `rot` and `outer_face_index` are what `is_outerplanar(g)` returns, so the
-    apex test runs once; a `rot` of None (g is not outer-planar) raises.
-    Augmentation adds new vertices only (one per missing hop between
-    consecutive first occurrences along the outer face walk), never edges
-    between existing vertices; that is what lets constructors drop the added
-    curves afterwards.
+    `rot` and `outer` are what `is_outerplanar(g)` returns, so the apex test
+    runs once and no face is walked again; a `rot` of None (g is not
+    outer-planar) raises. Augmentation adds new vertices only (one per
+    missing hop between consecutive first occurrences along the outer walk),
+    never edges between existing vertices; that is what lets constructors
+    drop the added curves afterwards.
     """
     if rot is None:
         raise NotOuterplanar("input graph is not outer-planar")
     if g.n == 1:
         return Graph(2, [(0, 1)])
-    walk = faces(g, rot)[outer_face_index]
-    if len(walk) == g.n:
+    if len(outer) == g.n:
         return g
     first_seen: list[int] = []
     seen: set[int] = set()
-    for u, _v in walk:
+    for u, _v in outer:
         if u not in seen:
             seen.add(u)
             first_seen.append(u)
@@ -240,50 +240,42 @@ class EarDecomposition:
     ears: tuple[tuple[int, ...], ...]
 
 
-def ear_decomposition(
-    g: Graph, rot: RotationScheme, outer_face_index: int
-) -> EarDecomposition:
+def ear_decomposition(g: Graph, rot: RotationScheme, outer: tuple | None) -> EarDecomposition:
     """Ears from the weak dual tree of inner faces, rooted at the face beside
     the smallest outer edge, emitted in DFS order.
 
-    `outer_face_index` names the face of `faces(g, rot)` that holds every
-    vertex, as `is_outerplanar` returns it; g is 2-connected iff that walk
-    has exactly g.n edges."""
-    fs = faces(g, rot)
-    outer = fs[outer_face_index] if fs else ()
-    if len(outer) != g.n or len({u for u, _v in outer}) != g.n:
+    `outer` is the outer walk that `is_outerplanar` returns; g is 2-connected
+    iff it has exactly g.n edges. The faces are walked once, and the outer
+    face is found among them by its first directed edge: each directed edge
+    lies on exactly one face."""
+    if not outer or len(outer) != g.n or len({u for u, _v in outer}) != g.n:
         raise NotBiconnected("ear decomposition needs a 2-connected graph (or K_2)")
-    rkey = min((min(u, v), max(u, v)) for (u, v) in outer)
+    ru, rv = min(outer, key=lambda e: (min(e), max(e)))
+    rkey = (min(ru, rv), max(ru, rv))
     if g.n == 2:
         return EarDecomposition(rkey, ())
 
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for i, f in enumerate(fs):
-        for u, v in f:
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(i)
-    root_face = next(i for i in edge_faces[rkey] if i != outer_face_index)
-
+    fs = faces(g, rot)
+    face_of = {e: i for i, f in enumerate(fs) for e in f}
+    root_face = face_of[rv, ru]
     ears: list[tuple[int, ...]] = []
-    visited = {root_face}
-    stack: list[tuple[int, tuple[int, int]]] = [(root_face, rkey)]
+    visited = {face_of[outer[0]], root_face}
+    stack: list[tuple[int, tuple[int, int]]] = [(root_face, (rv, ru))]
     while stack:
         fi, attach = stack.pop()
+        # rotate this face to start at the attach edge, directed as in it
         cycle = fs[fi]
-        # locate the directed copy of the attach edge inside this face
-        k = next(
-            j for j, (u, v) in enumerate(cycle) if (min(u, v), max(u, v)) == attach
-        )
+        k = cycle.index(attach)
         cycle = cycle[k:] + cycle[:k]
-        a, b = cycle[0]
+        a, b = attach
         interior = [v for (_u, v) in cycle[1:-1]]
         ears.append((a, *reversed(interior), b))
         children = []
         for u, v in cycle[1:]:
-            key = (min(u, v), max(u, v))
-            for fj in edge_faces[key]:
-                if fj != fi and fj != outer_face_index and fj not in visited:
-                    visited.add(fj)
-                    children.append((fj, key))
+            fj = face_of[v, u]
+            if fj not in visited:
+                visited.add(fj)
+                children.append((fj, (v, u)))
         stack.extend(reversed(children))
     return EarDecomposition(rkey, tuple(ears))
 
@@ -306,7 +298,7 @@ def restrict_breaks(
         full = rot2.order[v]
         induced = tuple(w for w in full if w < g.n)
         order.append(induced)
-        bpos = rot2.position(v, cw_nb[v])
+        bpos = full.index(cw_nb[v])
         first = next((w for w in full[bpos:] + full[:bpos] if w < g.n), None)
         breaks[v] = 0 if first is None else induced.index(first)
     return PlaneGraph(g, RotationScheme(order)), breaks

@@ -4,6 +4,9 @@ Graph JSON: {"n": int, "edges": [[u,v],...], "rotation": {"v": [...]}?}
 StringRep JSON: {"curves": {"v": [[x_num,x_den,y_num,y_den], ...]},
                  "witness": {"circle": {...}} | {"polyline": [...]} | null}
 Edge-list text: one "u v" pair per line, 0-indexed.
+
+A vertex id in a rotation key, a curve key or an edge list is written in
+decimal, as `str(v)` writes it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _vertex_id(k: str, what: str) -> int:
+    """k, which must be a vertex's decimal id: ASCII digits without a sign,
+    space, separator or leading zero, so that no two spellings name one
+    vertex."""
+    if not (k.isascii() and k.isdigit() and (k == "0" or k[0] != "0")):
+        raise ValueError(f"{what} {k!r} is not a vertex id")
+    return int(k)
+
+
 def _graph(n: int, edges) -> Graph:
     if n > MAX_N:
         raise ValueError(f"a graph of {n} vertices exceeds the bound of {MAX_N}")
@@ -55,12 +67,12 @@ def rotation_from_json(data: dict, n: int) -> RotationScheme | None:
     name one vertex."""
     if not data.get("rotation"):
         return None
-    ids = {str(v): v for v in range(n)}
     order = [[] for _ in range(n)]
     for k, nbrs in data["rotation"].items():
-        if k not in ids:
+        v = _vertex_id(k, "rotation key")
+        if v >= n:
             raise ValueError(f"rotation key {k!r} is not a vertex id 0..{n - 1}")
-        order[ids[k]] = [_int(w, "rotation entry") for w in nbrs]
+        order[v] = [_int(w, "rotation entry") for w in nbrs]
     return RotationScheme(order)
 
 
@@ -71,9 +83,9 @@ def graph_from_edge_text(text: str) -> Graph:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
-        mx = max(mx, int(u), int(v))
+        u, v = (_vertex_id(t, "edge end") for t in line.split())
+        edges.append((u, v))
+        mx = max(mx, u, v)
     return _graph(mx + 1, edges)
 
 
@@ -119,9 +131,8 @@ def rep_from_json(data: dict) -> StringRep:
     decimal id of its vertex, so that no two keys name one vertex."""
     curves = {}
     for k, pts in data["curves"].items():
-        if not (k.isascii() and k.isdigit() and str(int(k)) == k):
-            raise ValueError(f"curve key {k!r} is not a vertex id")
-        curves[int(k)] = Curve(int(k), tuple(_pt_parse(q) for q in pts))
+        v = _vertex_id(k, "curve key")
+        curves[v] = Curve(v, tuple(_pt_parse(q) for q in pts))
     w = data.get("witness")
     if w is None:
         return StringRep(curves)

@@ -162,8 +162,9 @@ def extend_to_1string(
     tb: TouchingBuild, g: Graph
 ) -> StringRep:
     """Turn each contact of a g-edge into one proper crossing by extending
-    the touching end slightly; contacts of fill edges are first neutralized
-    by retracting the touching end.
+    the touching end slightly; contacts of fill edges, the contact keys
+    that are no edge of g, are first neutralized by retracting the touching
+    end.
 
     ends[v] = [right_x, top_y]: the end along axis k moves on the line
     x = corner_v[0] (top) or y = corner_v[1] (right). The first L it would
@@ -173,13 +174,12 @@ def extend_to_1string(
     sorted on each axis once: a bisection finds the first corner beyond the
     end, and the walk from there stops at the first L whose arm spans the
     line, which is that least corner."""
-    fill = set(tb.elim.fill_edges)
     corner = {v: l.corner for v, l in tb.ls.items()}
     ends = {v: [l.right_end[0], l.top[1]] for v, l in tb.ls.items()}
     on_arm = _arm_contacts(tb)
     contacts = sorted(tb.contacts.items())
     for key, c in contacts:
-        if key in fill:
+        if not g.has_edge(*key):
             # retract the touching end half way back to the previous feature
             # on its own arm, so the fill contact disappears
             v, k = c.toucher, _axis(c)
@@ -191,7 +191,7 @@ def extend_to_1string(
     by_axis = [sorted(corner, key=lambda w: corner[w][k]) for k in (0, 1)]
     coords = [[corner[w][k] for w in by_axis[k]] for k in (0, 1)]
     for key, c in contacts:
-        if key in fill:
+        if not g.has_edge(*key):
             continue
         v, k = c.toucher, _axis(c)
         line, end = corner[v][1 - k], ends[v][k]
@@ -262,11 +262,6 @@ def build_sp(g: Graph) -> SpBuild:
     tb = build_touching_L(g)
     rep = extend_to_1string(tb, g)
     completed_plane = derive_embedding(tb)
-    fill = {tuple(sorted(e)) for e in tb.elim.fill_edges}
-    order = []
-    for v in range(g.n):
-        order.append(
-            [w for w in completed_plane.rot.order[v] if tuple(sorted((v, w))) not in fill]
-        )
+    order = [[w for w in completed_plane.rot.order[v] if g.has_edge(v, w)] for v in range(g.n)]
     plane = PlaneGraph(g, RotationScheme(order))
     return SpBuild(rep, plane, completed_plane, tb)

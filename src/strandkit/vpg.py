@@ -258,11 +258,11 @@ def _case_conv_valley(b, frame, w, u, x, v, h, t):
 
 
 def build_vpg(g: Graph, per_ear_check: bool = False, trace: bool = False) -> VpgBuild:
-    _ok, rot2, ofi = is_outerplanar(g)
-    g2 = biconnect_outerplanar(g, rot2, ofi)
+    _ok, rot2, outer = is_outerplanar(g)
+    g2 = biconnect_outerplanar(g, rot2, outer)
     if g2 is not g:  # the augmentation needs an embedding of its own
-        _ok, rot2, ofi = is_outerplanar(g2)
-    dec = ear_decomposition(g2, rot2, outer_face_index=ofi)
+        _ok, rot2, outer = is_outerplanar(g2)
+    dec = ear_decomposition(g2, rot2, outer)
     a, c = dec.root_edge
 
     b = _Builder()

@@ -224,7 +224,7 @@ def test_criterion_8_property_suites():
         ok, rot, ofi = is_outerplanar(pg.graph)
         if not ok:
             problems.append(f"generator/recognizer mismatch (mop seed {seed})")
-        dec = ear_decomposition(pg.graph, rot, outer_face_index=ofi)
+        dec = ear_decomposition(pg.graph, rot, ofi)
         if replay_ears(pg.graph.n, dec) != pg.graph:
             problems.append(f"ear replay mismatch (seed {seed})")
         g2 = random_partial_2tree(10 + seed, 0.6, seed=seed)

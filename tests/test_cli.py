@@ -1,6 +1,8 @@
 import argparse
+import copy
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -147,6 +149,10 @@ MALFORMED = {
     # int(n) read these as a 2- and a 3-vertex graph
     "fractional_vertices": ("g.json", '{"n": 2.9, "edges": [[0, 1]]}'),
     "string_vertices": ("g.json", '{"n": "3", "edges": [[0, 1], [1, 2]]}'),
+    # int() read the first as an 11-vertex graph, the other two as edge (0, 1)
+    "underscore_vertex_id": ("g.txt", "0 1_0\n"),
+    "signed_vertex_id": ("g.txt", "0 +1\n"),
+    "arabic_indic_vertex_id": ("g.txt", "0 \u0661\n"),
     "zero_denominator": ("rep.json", '{"curves": {"0": [[0, 0, 0, 1], [1, 1, 1, 1]]}}'),
     "witness_unknown_key": ("rep.json", json.dumps({
         "curves": {"0": [[0, 1, 0, 1], [1, 1, 1, 1]]},
@@ -244,6 +250,142 @@ def test_huge_graph_exit_code(tmp_path, name, text):
     assert "malformed input" in out.stderr and "exceeds the bound of 1000000" in out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(mf.read_text())["exit_code"] == 2
+
+
+BOUNDED_LOAD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+from strandkit import jsonio
+g, rot = jsonio.graph_from_json({"n": 10**6, "edges": []})
+assert (g.n, g.edge_count, rot) == (10**6, 0, None)
+"""
+
+
+def test_graph_at_the_size_bound_loads_in_bounded_memory():
+    """An edgeless graph of jsonio.MAX_N vertices loads under a 200 MB
+    address-space cap: a Graph keeps one adjacency tuple per vertex and
+    one edge set, not a set of neighbours per vertex."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", BOUNDED_LOAD], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+FUZZ_RUNNER = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+from strandkit.cli import main
+
+results = []
+for argv in json.load(open(sys.argv[1])):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException:
+        code, err = None, io.StringIO(traceback.format_exc())
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+FUZZ_VALUES = [0, 1, -1, 7, 2.5, 10**6 + 1, 10**40, "1", "x", True, None,
+               [], {}, [0], [0, 1], [[0, 1]], [0, 0, 0, 1]]
+FUZZ_KEYS = ["01", "+1", "-1", "1_0", "\u0661", "", "99", "n", "edges", "rotation",
+             "curves", "witness", "circle", "polyline", "center", "radius2"]
+FUZZ_TOKENS = ["1_0", "+1", "\u0661", "-1", "01", "1e3", "0x1", "99", "1000001", "x",
+               "0", "1 2", "#"]
+
+
+def mutate_json(rng, data):
+    """data with one change somewhere along a random path: a value
+    replaced, a key renamed, or an entry dropped or duplicated."""
+    data = copy.deepcopy(data)
+    parent, key, node = None, None, data
+    while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.7):
+        parent, key = node, rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        node = node[key]
+    op = rng.randrange(4)
+    if op == 0:
+        parent[key] = rng.choice(FUZZ_VALUES)
+    elif op == 1:
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[rng.choice(FUZZ_KEYS)] = parent.pop(key)
+    else:
+        parent.insert(key, copy.deepcopy(node))
+    text = json.dumps(data)
+    if rng.random() < 0.2:  # and sometimes the text itself
+        i = rng.randrange(len(text))
+        text = text[:i] + rng.choice(["", "]", "}", ",", "0", '"']) + text[i + 1:]
+    return text
+
+
+def mutate_edges(rng, text):
+    """The edge list with one token replaced, one line dropped or repeated,
+    or one line added."""
+    lines = [line.split() for line in text.splitlines()]
+    i = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        lines[i][rng.randrange(2)] = rng.choice(FUZZ_TOKENS)
+    elif op == 1:
+        del lines[i]
+    elif op == 2:
+        lines.insert(i, list(lines[i]))
+    else:
+        lines.insert(i, [rng.choice(FUZZ_TOKENS), rng.choice(FUZZ_TOKENS)])
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path):
+    """Seeded mutations of graph JSON, edge lists and rep JSON, run through
+    main() in one process under a 600 MB address-space cap: every run ends
+    with exit 0, 1 or 2, writes a manifest and raises no exception."""
+    import random
+
+    g0, rep0, rep1 = (tmp_path / name for name in ("g0.json", "rep0.json", "rep1.json"))
+    assert main(["gen", "maximal-outerplanar", "--n", "6", "--seed", "1", "--out", str(g0)]) == 0
+    assert main(["build", "circle", str(g0), "--out", str(rep0)]) == 0
+    assert main(["build", "vpg", str(g0), "--out", str(rep1)]) == 0
+    graph = json.loads(g0.read_text())
+    edges = "".join(f"{u} {v}\n" for u, v in graph["edges"])
+    reps = [json.loads(rep0.read_text()), json.loads(rep1.read_text())]
+
+    rng = random.Random(8)
+    runs = []
+    for i in range(600):
+        kind = i % 3
+        if kind == 0:
+            path = tmp_path / f"in{i}.json"
+            path.write_text(mutate_json(rng, graph))
+        elif kind == 1:
+            path = tmp_path / f"in{i}.txt"
+            path.write_text(mutate_edges(rng, edges))
+        else:
+            path = tmp_path / f"in{i}.json"
+            path.write_text(mutate_json(rng, rng.choice(reps)))
+        p = str(path)
+        if kind < 2:
+            argv = rng.choice([["embed", p], ["build", "circle", p], ["build", "vpg", p],
+                               ["build", "sp", p], ["oracle", p, "--limit", "20", "--jobs", "1"],
+                               ["verify", str(rep0), p, "--order", "--outer", "both-ends"]])
+        else:
+            argv = rng.choice([["verify", p, str(g0), "--order", "--outer", "both-ends"],
+                               ["svg", p, "--crossings"]])
+        runs.append(["--manifest", str(tmp_path / f"m{i}.json"), *argv])
+    plan = tmp_path / "runs.json"
+    plan.write_text(json.dumps(runs))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FUZZ_RUNNER, str(plan)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(runs)
+    for argv, (code, err) in zip(runs, results):
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        assert json.loads(open(argv[1]).read())["exit_code"] == code, argv
+    # the mutations reach past the parsers: some runs succeed, some fail
+    assert {code for code, _err in results} >= {0, 2}
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):

@@ -6,7 +6,12 @@ import networkx as nx
 import pytest
 
 from strandkit.errors import GraphNotConnected, NotBiconnected, NotPartialTwoTree
-from strandkit.families import random_maximal_outerplanar, random_planar_3tree
+from strandkit.families import (
+    extended_wheel,
+    random_maximal_outerplanar,
+    random_planar_3tree,
+    wheel,
+)
 from strandkit.graphs import (
     Graph,
     RotationScheme,
@@ -56,6 +61,58 @@ def test_face_partition_property():
         assert len(set(directed)) == len(directed)
 
 
+def faces_by_position(g, rot):
+    """Reference face walk: a position map per vertex gives the index of u in
+    rot[v], and a seen set marks walked edges. `faces` must return the same
+    faces in the same order, each from the same start edge."""
+    pos = [{u: i for i, u in enumerate(r)} for r in rot.order]
+    out, seen = [], set()
+    for a, b in g.edges:
+        for start in ((a, b), (b, a)):
+            if start in seen:
+                continue
+            face = []
+            cu, cv = start
+            while True:
+                face.append((cu, cv))
+                seen.add((cu, cv))
+                r = rot.order[cv]
+                cu, cv = cv, r[(pos[cv][cu] + 1) % len(r)]
+                if (cu, cv) == start:
+                    break
+            out.append(tuple(face))
+    return tuple(out)
+
+
+def reference_face_cases():
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = random.Random(27)
+    for G in graph_atlas_g():
+        if not 1 <= G.number_of_nodes() <= 6:
+            continue
+        g = Graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
+        ok, rot = is_planar(g)
+        if ok:
+            yield g, rot
+        # any rotation has faces, planar or not
+        yield g, RotationScheme([rng.sample(a, len(a)) for a in g.adj])
+    for seed in range(20):
+        for pg in (random_planar_3tree(4 + seed, seed), random_maximal_outerplanar(3 + seed, seed)):
+            yield pg.graph, pg.rot
+    for n in range(3, 10):
+        for pg in (wheel(n), extended_wheel(n)):
+            yield pg.graph, pg.rot
+
+
+def test_faces_match_position_reference():
+    cases = 0
+    for g, rot in reference_face_cases():
+        assert faces(g, rot) == faces_by_position(g, rot), (g, rot)
+        cases += 1
+    assert cases > 300
+
+
 def test_is_planar_examples():
     assert is_planar(Graph(4, list(itertools.combinations(range(4), 2))))[0]
     assert not is_planar(Graph(5, list(itertools.combinations(range(5), 2))))[0]
@@ -75,7 +132,8 @@ def test_outerplanar_witness_has_outer_face():
     g = random_maximal_outerplanar(11, seed=6).graph
     ok, rot, ofi = is_outerplanar(g)
     assert ok and euler_check(g, rot)
-    assert len({u for u, _v in faces(g, rot)[ofi]}) == g.n
+    assert ofi in faces(g, rot)
+    assert len({u for u, _v in ofi}) == g.n
 
 
 def test_outerplanarity_agrees_with_apex_planarity_atlas():
@@ -146,7 +204,7 @@ def test_biconnect_properties_random(seed):
 def test_ears_c4():
     g = cycle(4)
     ok, rot, ofi = is_outerplanar(g)
-    dec = ear_decomposition(g, rot, outer_face_index=ofi)
+    dec = ear_decomposition(g, rot, ofi)
     assert len(dec.ears) == 1 and len(dec.ears[0]) == 4  # k = 2
     assert replay_ears(4, dec) == g
 
@@ -154,7 +212,7 @@ def test_ears_c4():
 def test_ears_fan():
     fan = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (0, 3), (0, 4)])
     ok, rot, ofi = is_outerplanar(fan)
-    dec = ear_decomposition(fan, rot, outer_face_index=ofi)
+    dec = ear_decomposition(fan, rot, ofi)
     assert [len(e) - 2 for e in dec.ears] == [1, 1, 1]
     assert replay_ears(5, dec) == fan
 
@@ -162,7 +220,7 @@ def test_ears_fan():
 def test_ears_two_triangles_rooted():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
     ok, rot, ofi = is_outerplanar(g)
-    dec = ear_decomposition(g, rot, outer_face_index=ofi)
+    dec = ear_decomposition(g, rot, ofi)
     assert dec.root_edge == (0, 1)
     assert [len(e) - 2 for e in dec.ears] == [1, 1]
     assert replay_ears(4, dec) == g
@@ -177,17 +235,17 @@ def test_outer_walk_decides_2_connectivity_atlas():
         assert (biconnect_outerplanar(g, *is_outerplanar(g)[1:]) is g) == want
         ok, rot, ofi = is_outerplanar(g)
         if want:
-            assert replay_ears(g.n, ear_decomposition(g, rot, outer_face_index=ofi)) == g
+            assert replay_ears(g.n, ear_decomposition(g, rot, ofi)) == g
         else:
             with pytest.raises(NotBiconnected):
-                ear_decomposition(g, rot, outer_face_index=ofi)
+                ear_decomposition(g, rot, ofi)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_ear_replay_property(seed):
     g = random_maximal_outerplanar(6 + seed, seed=seed).graph
     ok, rot, ofi = is_outerplanar(g)
-    dec = ear_decomposition(g, rot, outer_face_index=ofi)
+    dec = ear_decomposition(g, rot, ofi)
     assert replay_ears(g.n, dec) == g
 
 
